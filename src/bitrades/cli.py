@@ -7,7 +7,6 @@ usage or parameter errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .construct import (
@@ -76,19 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--in", dest="path", required=True, help="bitrade file")
 
     return parser
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("BITRADE_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"BITRADE_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _checked(b: Bitrade) -> Bitrade:
@@ -249,7 +235,6 @@ def main(argv: list[str] | None = None) -> int:
         code = stop.code
         return code if isinstance(code, int) else 2
     try:
-        _threads_from_env()
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)

@@ -44,9 +44,8 @@ class Bitrade:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         object.__setattr__(self, "t0", frozenset(self.t0))
         object.__setattr__(self, "t1", frozenset(self.t1))
-        for part in (self.t0, self.t1):
-            for w in part:
-                self.params.check_word(w)
+        self.params.check_words(self.t0)
+        self.params.check_words(self.t1)
         overlap = self.t0 & self.t1
         if overlap:
             raise ValueError(

@@ -1,15 +1,15 @@
 """Finite-field arithmetic on the element set {0, ..., q-1}.
 
-build_field(q) accepts any prime power q <= 2**16.  For q = p**k an
+build_field(q) accepts any prime power q <= 512.  For q = p**k an
 element's base-p digits, least significant first, are the coefficients of
 a polynomial over GF(p); products are reduced modulo the lexicographically
 smallest monic irreducible polynomial of degree k, comparing coefficient
 tuples constant term first.  Every choice here is forced, so two builds of
 the same field produce bit-identical tables.
 
-Small fields get dense q-by-q operation tables.  Larger ones switch to
-log/antilog tables over the smallest generator, which keeps memory linear
-in q without giving up determinism.
+Every field gets dense q-by-q addition and multiplication tables.  The
+ceiling of 512 keeps them small; no construction comes near it, since
+mds_bitrade(q) already enumerates q^(q-2) words.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-FIELD_SIZE_LIMIT = 2**16
-
-# Fields up to this size store dense q*q add/mul tables; above it only the
-# O(q) log/antilog and negation tables are kept and addition works on digits.
-DENSE_TABLE_LIMIT = 512
+FIELD_SIZE_LIMIT = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +139,7 @@ class FieldTable:
     immutable once built: treat instances as shared read-only values.
     """
 
-    __slots__ = ("spec", "_add", "_mul", "_neg", "_inv", "_log", "_exp")
+    __slots__ = ("spec", "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -154,52 +150,21 @@ class FieldTable:
             _undigits(((-d) % p for d in digits[e]), p) for e in range(q)
         )
 
-        if q <= DENSE_TABLE_LIMIT:
-            self._add = tuple(
-                tuple(
-                    _undigits(((x + y) % p for x, y in zip(digits[a], digits[b])), p)
-                    for b in range(q)
-                )
-                for a in range(q)
+        self._add = tuple(
+            tuple(
+                _undigits(((x + y) % p for x, y in zip(digits[a], digits[b])), p)
+                for b in range(q)
             )
-            self._mul = tuple(
-                tuple(
-                    _undigits(_poly_mul_mod(digits[a], digits[b], spec.modulus, p), p)
-                    for b in range(q)
-                )
-                for a in range(q)
+            for a in range(q)
+        )
+        self._mul = tuple(
+            tuple(
+                _undigits(_poly_mul_mod(digits[a], digits[b], spec.modulus, p), p)
+                for b in range(q)
             )
-            inv = [0] * q
-            for a in range(1, q):
-                row = self._mul[a]
-                for b in range(1, q):
-                    if row[b] == 1:
-                        inv[a] = b
-                        break
-            self._inv = tuple(inv)
-            self._log = self._exp = None
-        else:
-            self._add = self._mul = self._inv = None
-            self._exp, self._log = self._build_log_tables(digits)
-
-    def _build_log_tables(self, digits):
-        q, p = self.spec.q, self.spec.p
-        modulus = self.spec.modulus
-        for g in range(2, q):
-            exp = [1]
-            acc = digits[g]
-            while True:
-                e = _undigits(acc, p)
-                if e == 1:
-                    break
-                exp.append(e)
-                acc = _poly_mul_mod(acc, digits[g], modulus, p)
-            if len(exp) == q - 1:
-                log = [0] * q
-                for i, e in enumerate(exp):
-                    log[e] = i
-                return tuple(exp), tuple(log)
-        raise AssertionError(f"no generator found for GF({q})")
+            for a in range(q)
+        )
+        self._inv = (0,) + tuple(self._mul[a].index(1) for a in range(1, q))
 
     # -- properties ---------------------------------------------------------
 
@@ -235,12 +200,7 @@ class FieldTable:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self._add is not None:
-            return self._add[a][b]
-        p, k = self.spec.p, self.spec.k
-        return _undigits(
-            ((x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))), p
-        )
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
         self._check(a)
@@ -253,21 +213,13 @@ class FieldTable:
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self._mul is not None:
-            return self._mul[a][b]
-        if a == 0 or b == 0:
-            return 0
-        order = self.spec.q - 1
-        return self._exp[(self._log[a] + self._log[b]) % order]
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.spec.q})")
-        if self._inv is not None:
-            return self._inv[a]
-        order = self.spec.q - 1
-        return self._exp[(-self._log[a]) % order]
+        return self._inv[a]
 
     def sum(self, items: Iterable[int]) -> int:
         total = 0
@@ -286,7 +238,7 @@ def _build_field(q: int) -> FieldTable:
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"field size must be an integer >= 2, got {q!r}")
     if q > FIELD_SIZE_LIMIT:
-        raise ValueError(f"field size {q} exceeds the supported limit 2**16")
+        raise ValueError(f"field size {q} exceeds the supported limit {FIELD_SIZE_LIMIT}")
     pp = _prime_power(q)
     if pp is None:
         text = " * ".join(
@@ -299,5 +251,5 @@ def _build_field(q: int) -> FieldTable:
 
 @functools.lru_cache(maxsize=None)
 def build_field(q: int) -> FieldTable:
-    """Build (and cache) the arithmetic tables for GF(q), q a prime power <= 2**16."""
+    """Build (and cache) the arithmetic tables for GF(q), q a prime power <= 512."""
     return _build_field(q)

@@ -3,25 +3,22 @@
 The vertices of H(n, q) are the length-n words over {0, ..., q-1}; two
 words are adjacent when they differ in exactly one coordinate.  Words are
 plain tuples of ints and codes are immutable sets of words, so everything
-in this module is pure and safe to share.
+in this module is pure and safe to share.  ``VertexIndex`` numbers the
+vertices for the checks and searches; distances are exact at every size.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import getitem, itemgetter, mul, ne
 
 Word = tuple[int, ...]
 
 # Whole-graph and whole-face enumerations are refused above this many words.
 ENUMERATION_CEILING = 2**48
-
-# min_distance switches from the exact pairwise scan to deletion-bucket
-# screening above this code size.  Past the switch only distances <= 2 are
-# resolved exactly and 3 means ">= 3", which is all that callers need.
-PAIRWISE_LIMIT = 20000
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,13 +47,28 @@ class HammingParams:
         return [self.degree - self.q * i for i in range(self.n + 1)]
 
     def contains(self, word: Word) -> bool:
-        return len(word) == self.n and all(
-            isinstance(s, int) and 0 <= s < self.q for s in word
+        return (
+            len(word) == self.n
+            and all(map(isinstance, word, itertools.repeat(int)))
+            and 0 <= min(word)
+            and max(word) < self.q
         )
 
     def check_word(self, word: Word) -> None:
         if not self.contains(word):
             raise ValueError(f"{word!r} is not a word of H({self.n}, {self.q})")
+
+    def check_words(self, words: Iterable[Word]) -> None:
+        """check_word on each word in turn; valid words cost two passes over their symbols."""
+        symbols = itertools.chain.from_iterable
+        if all(map(self.n.__eq__, map(len, words))) and all(
+            issubclass(t, int) for t in set(map(type, symbols(words)))
+        ):
+            values = set(symbols(words))  # only ints, so one per distinct symbol
+            if not values or (min(values) >= 0 and max(values) < self.q):
+                return
+        for w in words:
+            self.check_word(w)
 
 
 @dataclass(frozen=True)
@@ -68,8 +80,7 @@ class Code:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", frozenset(self.words))
-        for w in self.words:
-            self.params.check_word(w)
+        self.params.check_words(self.words)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -132,62 +143,71 @@ def hamming_distance(x: Word, y: Word) -> int:
     return sum(a != b for a, b in zip(x, y))
 
 
-def min_distance(code: Code, *, pairwise_limit: int = PAIRWISE_LIMIT) -> int | float:
+def _pairwise(pairs: Iterable[tuple[Word, Word]], floor: int) -> int | float:
+    """Smallest distance over the word pairs; stops as soon as it reaches floor."""
+    best: int | float = math.inf
+    for x, y in pairs:
+        d = sum(map(ne, x, y))
+        if d < best:
+            best = d
+            if d <= floor:
+                break
+    return best
+
+
+def min_distance(code: Code) -> int | float:
     """Minimum distance between distinct codewords; +inf below two words.
 
-    Codes up to ``pairwise_limit`` words get the exact pairwise scan.
-    Larger codes are screened by coordinate deletion: a shared single
-    deletion means distance 1, a shared double deletion distance 2, and
-    otherwise 3 is returned, standing for "at least 3".
+    Exact at every size.  The distance is at most k exactly when the
+    projection onto some n - k coordinates merges two codewords; for
+    q^(n-k) < |C| one must (pigeonhole).  Level top, the last k before
+    that, is tried first: injective there proves top + 1, as for MDS codes
+    and bitrade parts.  Otherwise k rises from 1 to the first merging
+    level, or to the exact pairwise scan when that is cheaper.
     """
     words = list(code.words)
-    if len(words) <= 1:
+    size = len(words)
+    if size <= 1:
         return math.inf
-    if len(words) <= pairwise_limit:
-        best = code.params.n
-        for i, w in enumerate(words):
-            for v in words[i + 1 :]:
-                d = hamming_distance(w, v)
-                if d < best:
-                    best = d
-                    if best == 1:
-                        return 1
-        return best
+    n, q = code.params.n, code.params.q
+    top = max(k for k in range(n) if q ** (n - k) >= size)
 
-    n = code.params.n
-    seen_single: set[tuple[int, Word]] = set()
-    for w in words:
-        for i in range(n):
-            key = (i, w[:i] + w[i + 1 :])
-            if key in seen_single:
-                return 1
-            seen_single.add(key)
-    seen_double: set[tuple[int, int, Word]] = set()
-    for w in words:
-        for i in range(n):
-            for j in range(i + 1, n):
-                key = (i, j, w[:i] + w[i + 1 : j] + w[j + 1 :])
-                if key in seen_double:
-                    return 2
-                seen_double.add(key)
-    return 3
+    def merges(k: int) -> bool:
+        return any(
+            len(set(map(itemgetter(*keep), words))) < size
+            for keep in itertools.combinations(range(n), n - k)
+        )
+
+    if top and math.comb(n, top) <= size and not merges(top):
+        return top + 1
+    for k in range(1, top + 1):
+        if math.comb(n, k) > size:
+            return _pairwise(itertools.combinations(words, 2), k)
+        if merges(k):
+            return k
+    return top + 1
 
 
 def code_distance(c: Code, d: Code) -> int | float:
-    """Minimum distance between a word of c and a word of d; +inf if either is empty."""
+    """Minimum distance between a word of c and a word of d; +inf if either is empty.
+
+    Exact: within distance k exactly when projections onto some n - k coordinates meet.
+    """
     if c.params != d.params:
         raise ValueError(f"codes live in different graphs: {c.params} vs {d.params}")
     if not c.words or not d.words:
         return math.inf
-    best: int | float = math.inf
-    for w in c.words:
-        for v in d.words:
-            dist = hamming_distance(w, v)
-            if dist < best:
-                best = dist
-                if best == 0:
-                    return 0
-    return best
+    if not c.words.isdisjoint(d.words):
+        return 0
+    n = c.params.n
+    for k in range(1, n):
+        if math.comb(n, k) * (len(c) + len(d)) > len(c) * len(d):
+            return _pairwise(itertools.product(c.words, d.words), k)
+        for keep in itertools.combinations(range(n), n - k):
+            get = itemgetter(*keep)
+            if not set(map(get, c.words)).isdisjoint(map(get, d.words)):
+                return k
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +232,59 @@ def sphere(params: HammingParams, center: Word) -> list[Word]:
 def ball(params: HammingParams, center: Word) -> list[Word]:
     """The center together with its sphere: n(q-1) + 1 words."""
     return [center] + sphere(params, center)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel
+
+
+class VertexIndex:
+    """Integer ids for the vertices of H(n, q), and neighbourhoods as ids.
+
+    A word's id is its value in base q with the first coordinate most
+    significant, so ids sort like words.  Changing coordinate i from a to
+    s adds (s - a) * q^(n-1-i) to the id; neighbourhoods read those
+    offsets from tables and list ids in the order of ``sphere`` and ``ball``.
+    """
+
+    __slots__ = ("params", "weights", "_steps")
+
+    def __init__(self, params: HammingParams) -> None:
+        n, q = params.n, params.q
+        self.params = params
+        self.weights = tuple(q ** (n - 1 - i) for i in range(n))
+        # _steps[i][a]: the id offsets of the n-1 other symbols at position i
+        self._steps = tuple(
+            tuple(tuple((s - a) * w for s in range(q) if s != a) for a in range(q))
+            for w in self.weights
+        )
+
+    def encode(self, word: Word) -> int:
+        return sum(map(mul, word, self.weights))
+
+    def decode(self, v: int) -> Word:
+        return tuple(v // w % self.params.q for w in self.weights)
+
+    def sphere(self, word: Word) -> Iterator[int]:
+        """Ids at distance 1, by increasing changed position, then symbol."""
+        steps = itertools.chain.from_iterable(map(getitem, self._steps, word))
+        return map(self.encode(word).__add__, steps)
+
+    def ball(self, word: Word) -> Iterator[int]:
+        """The word's own id, then its sphere."""
+        return itertools.chain((self.encode(word),), self.sphere(word))
+
+    def radius2(self, word: Word) -> list[int]:
+        """Ids at distance exactly 2, by increasing pair of changed positions."""
+        v = self.encode(word)
+        steps = list(map(getitem, self._steps, word))
+        return [
+            v + x + y
+            for i, near in enumerate(steps)
+            for far in steps[i + 1 :]
+            for x in near
+            for y in far
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
+from itertools import chain
+from operator import getitem, itemgetter
 
 from .fields import FieldTable
 from .hamming import ENUMERATION_CEILING, Code, HammingParams, Word, min_distance
@@ -16,8 +17,9 @@ class ParityCheckCode:
     A word w belongs to the code exactly when sum_i row[i] * w[i] = 0 for
     every row.  Enumeration sweeps the free coordinates in lexicographic
     order and solves for the pivot coordinates; pivots are chosen as far to
-    the right as possible, so each emitted word is a free prefix plus a
-    solved suffix.
+    the right as possible, so each emitted word is usually a free prefix
+    plus a solved suffix.  Entries are validated once, here; the row
+    reduction and the enumeration then read the field's tables directly.
     """
 
     __slots__ = ("field", "n", "checks", "_pivots", "_reduced")
@@ -40,28 +42,26 @@ class ParityCheckCode:
 
     def _reduce(self) -> None:
         """Row-reduce the checks, picking the rightmost usable pivot per row."""
-        f = self.field
-        rows = [list(row) for row in self.checks]
+        add, mul, neg = self.field._add, self.field._mul, self.field._neg
         pivots: list[int] = []
         reduced: list[list[int]] = []
-        for row in rows:
+
+        def eliminate(row: list[int], c: int, by: list[int]) -> None:
+            # row -= c * by
+            for i, x in enumerate(by):
+                row[i] = add[row[i]][neg[mul[c][x]]]
+
+        for row in map(list, self.checks):
             for done, col in zip(reduced, pivots):
-                c = row[col]
-                if c:
-                    for i in range(self.n):
-                        row[i] = f.sub(row[i], f.mul(c, done[i]))
-            pivot = next(
-                (col for col in range(self.n - 1, -1, -1) if row[col]), None
-            )
+                if row[col]:
+                    eliminate(row, row[col], done)
+            pivot = next((col for col in range(self.n - 1, -1, -1) if row[col]), None)
             if pivot is None:
                 continue  # dependent row
-            scale = f.inv(row[pivot])
-            row = [f.mul(scale, x) for x in row]
+            row = [mul[self.field._inv[row[pivot]]][x] for x in row]
             for done in reduced:
-                c = done[pivot]
-                if c:
-                    for i in range(self.n):
-                        done[i] = f.sub(done[i], f.mul(c, row[i]))
+                if done[pivot]:
+                    eliminate(done, done[pivot], row)
             reduced.append(row)
             pivots.append(pivot)
         order = sorted(range(len(pivots)), key=lambda i: pivots[i])
@@ -83,30 +83,45 @@ class ParityCheckCode:
         return self.contains(word)
 
     def contains(self, word: Word) -> bool:
-        if len(word) != self.n or any(
-            not isinstance(s, int) or not 0 <= s < self.field.q for s in word
-        ):
-            return False
-        return all(self.field.dot(row, word) == 0 for row in self.checks)
+        return self.params.contains(word) and all(
+            self.field.dot(row, word) == 0 for row in self.checks
+        )
 
     def words(self) -> Iterator[Word]:
-        """Yield all codewords, sweeping free coordinates lexicographically."""
+        """Iterate over all codewords, sweeping free coordinates lexicographically.
+
+        A pivot is minus its row's sum over the free coordinates, kept per free prefix.
+        """
         if self.size() > ENUMERATION_CEILING:
             raise ValueError(
                 f"refusing to enumerate {self.size()} codewords; the ceiling is 2**48"
             )
-        f = self.field
+        f, rows = self.field, self._reduced
         free = [i for i in range(self.n) if i not in self._pivots]
-        for values in itertools.product(f.elements, repeat=len(free)):
-            word = [0] * self.n
-            for pos, val in zip(free, values):
-                word[pos] = val
-            for row, pivot in zip(self._reduced, self._pivots):
-                acc = 0
-                for pos, val in zip(free, values):
-                    acc = f.add(acc, f.mul(row[pos], val))
-                word[pivot] = f.neg(acc)
-            yield tuple(word)
+        if not free:
+            return iter([(0,) * self.n])
+        # every free prefix but the last coordinate, with each row's sum over it
+        level = [((), (0,) * len(rows))]
+        for pos in free[:-1]:
+            terms = [tuple(f._mul[row[pos]][v] for row in rows) for v in f.elements]
+            level = [
+                (prefix + (v,), tuple(map(getitem, map(f._add.__getitem__, sums), term)))
+                for prefix, sums in level
+                for v, term in enumerate(terms)
+            ]
+        # minus_sum[s][x] = -(s + x): one row of it solves a pivot for every last value
+        minus_sum = [tuple(map(f._neg.__getitem__, row)) for row in f._add]
+        last = [f._mul[row[free[-1]]] for row in rows]
+
+        def tails(sums: tuple[int, ...]) -> Iterator[Word]:
+            return zip(f.elements, *(map(minus_sum[s].__getitem__, c) for s, c in zip(sums, last)))
+
+        words = chain.from_iterable(map(prefix.__add__, tails(sums)) for prefix, sums in level)
+        # words come out as free values then pivot values; put them in place
+        layout = free + list(self._pivots)
+        if layout == sorted(layout):
+            return words
+        return map(itemgetter(*map(layout.index, range(self.n))), words)
 
     def to_code(self) -> Code:
         return Code(self.params, frozenset(self.words()))
@@ -155,9 +170,9 @@ def coset(field: FieldTable, code: ParityCheckCode | Code, shift: Word) -> Code:
     base.params.check_word(shift)
     if base.params.q != field.q:
         raise ValueError(f"code over GF({base.params.q}) but field is GF({field.q})")
-    shifted = frozenset(
-        tuple(field.add(a, s) for a, s in zip(w, shift)) for w in base.words
-    )
+    # adding s maps a to row s of the addition table
+    rows = [field._add[s] for s in shift]
+    shifted = frozenset(tuple(map(getitem, rows, w)) for w in base.words)
     return Code(base.params, shifted)
 
 

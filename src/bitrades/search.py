@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .construct import PERFECT, SPHERICAL, Bitrade
-from .hamming import HammingParams, Word, ball, sphere
+from .hamming import HammingParams, VertexIndex
 from .verify import definition_check
 
 # Whole-graph exhaustive search is refused above this vertex count.
@@ -125,28 +125,16 @@ def _run(config: SearchConfig, kind: str) -> SearchResult:
 # vertex numbering and neighbourhood tables
 
 
-def _encode(word: Word, q: int) -> int:
-    v = 0
-    for s in word:
-        v = v * q + s
-    return v
-
-
-def _decode(v: int, n: int, q: int) -> Word:
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        v, out[i] = divmod(v, q)
-    return tuple(out)
-
-
 class _Regions:
     """Lazy per-vertex neighbourhood ids and bitmasks (ball or sphere)."""
 
-    __slots__ = ("params", "kind", "_ids", "_masks")
+    __slots__ = ("params", "kind", "index", "_hood", "_ids", "_masks")
 
     def __init__(self, params: HammingParams, kind: str) -> None:
         self.params = params
         self.kind = kind
+        self.index = VertexIndex(params)
+        self._hood = self.index.ball if kind == PERFECT else self.index.sphere
         self._ids: dict[int, tuple[int, ...]] = {}
         self._masks: dict[int, int] = {}
 
@@ -157,9 +145,7 @@ class _Regions:
     def ids(self, x: int) -> tuple[int, ...]:
         got = self._ids.get(x)
         if got is None:
-            word = _decode(x, self.params.n, self.params.q)
-            hood = ball if self.kind == PERFECT else sphere
-            got = tuple(sorted(_encode(w, self.params.q) for w in hood(self.params, word)))
+            got = tuple(sorted(self._hood(self.index.decode(x))))
             self._ids[x] = got
         return got
 
@@ -296,9 +282,8 @@ def _exhaustive(config: SearchConfig, kind: str) -> SearchResult:
 
     best = None
     if engine.best is not None:
-        n, q = params.n, params.q
-        t0 = frozenset(_decode(w, n, q) for w in engine.best[0])
-        t1 = frozenset(_decode(w, n, q) for w in engine.best[1])
+        t0 = frozenset(map(regions.index.decode, engine.best[0]))
+        t1 = frozenset(map(regions.index.decode, engine.best[1]))
         best = Bitrade(params, kind, t0, t1)
         _check_result(best)
     return SearchResult(
@@ -436,12 +421,11 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
         tabu.clear()
         pinned.clear()
         stagnation = 0
-        q = params.q
         if first_restart and config.start is not None:
             first_restart = False
             for side, words in ((0, config.start.t0), (1, config.start.t1)):
                 for word in words:
-                    state.toggle(_encode(word, q), side, True)
+                    state.toggle(regions.index.encode(word), side, True)
             if state.parts[0]:
                 pinned.add(min(state.parts[0]))
         else:
@@ -498,9 +482,8 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
 
     best = None
     if best_ids is not None:
-        n, q = params.n, params.q
-        t0 = frozenset(_decode(w, n, q) for w in best_ids[0])
-        t1 = frozenset(_decode(w, n, q) for w in best_ids[1])
+        t0 = frozenset(map(regions.index.decode, best_ids[0]))
+        t1 = frozenset(map(regions.index.decode, best_ids[1]))
         best = Bitrade(params, kind, t0, t1)
         _check_result(best)
     return SearchResult(

@@ -14,21 +14,20 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from collections.abc import Iterable, Mapping
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 
 from .construct import PERFECT, SPHERICAL, Bitrade
 from .hamming import (
     Code,
     HammingParams,
+    VertexIndex,
     Word,
-    all_words,
-    ball,
     code_distance,
-    hamming_distance,
     min_distance,
-    sphere,
 )
 
 WITNESS_LIMIT = 10
@@ -101,13 +100,14 @@ class SignedFunction:
     def __call__(self, w: Word) -> int:
         return self.values.get(w, 0)
 
+    def parts(self) -> tuple[list[Word], list[Word]]:
+        """The words where f is +1, and those where it is -1."""
+        plus = [w for w, v in self.values.items() if v == 1]
+        return plus, [w for w, v in self.values.items() if v == -1]
+
 
 # ---------------------------------------------------------------------------
 # the counting definition
-
-
-def _neighbourhood(params: HammingParams, kind: str, center: Word) -> list[Word]:
-    return ball(params, center) if kind == PERFECT else sphere(params, center)
 
 
 def definition_check(
@@ -123,45 +123,38 @@ def definition_check(
     The spherical count of a vertex is over its sphere, the perfect count
     over its ball.  By default only vertices whose counts can be nonzero
     are visited (the supports and their neighbourhoods); ``full_sweep``
-    visits all q^n vertices instead, which is allowed up to 3**10 of them.
+    visits all q^n vertices instead, which is allowed up to 3**10 of them;
+    the vertices it adds count (0, 0) and pass.
     """
     if kind not in (SPHERICAL, PERFECT):
         raise ValueError(f"kind must be 'spherical' or 'perfect', got {kind!r}")
     set0, set1 = frozenset(t0), frozenset(t1)
     if set0 & set1:
         raise ValueError("parts must be disjoint")
-    for part in (set0, set1):
-        for w in part:
-            params.check_word(w)
+    params.check_words(set0)
+    params.check_words(set1)
+    if full_sweep and params.vertex_count > FULL_SWEEP_CEILING:
+        raise ValueError(
+            f"full sweep over {params.vertex_count} vertices refused; "
+            f"the ceiling is 3**10"
+        )
 
-    counts: dict[Word, list[int]] = {}
-    for index, part in ((0, set0), (1, set1)):
-        for w in part:
-            for y in _neighbourhood(params, kind, w):
-                entry = counts.get(y)
-                if entry is None:
-                    counts[y] = entry = [0, 0]
-                entry[index] += 1
-
+    index = VertexIndex(params)
+    hood = index.ball if kind == PERFECT else index.sphere
+    counts0, counts1 = (Counter(chain.from_iterable(map(hood, s))) for s in (set0, set1))
     failures: list[tuple] = []
-    if full_sweep:
-        if params.vertex_count > FULL_SWEEP_CEILING:
-            raise ValueError(
-                f"full sweep over {params.vertex_count} vertices refused; "
-                f"the ceiling is 3**10"
-            )
-        checked = 0
-        for x in all_words(params):
-            checked += 1
-            c0, c1 = counts.get(x, (0, 0))
-            if c0 != c1 or c0 > 1:
-                failures.append((x, c0, c1))
+    # equal counters with no count above 1 leave nothing to report
+    if dict.__eq__(counts0, counts1) and max(counts0.values(), default=0) <= 1:
+        touched = counts0.keys()
     else:
-        checked = len(counts)
-        for x, (c0, c1) in counts.items():
+        touched = counts0.keys() | counts1.keys()
+        get0, get1 = counts0.get, counts1.get
+        for x in touched:
+            c0, c1 = get0(x, 0), get1(x, 0)
             if c0 != c1 or c0 > 1:
-                failures.append((x, c0, c1))
+                failures.append((index.decode(x), c0, c1))
 
+    checked = params.vertex_count if full_sweep else len(touched)
     details = {"mode": "full" if full_sweep else "closure", "vertices_checked": checked}
     return _report("definition", failures, details)
 
@@ -197,17 +190,19 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
             f"the check can only fail",
             stacklevel=2,
         )
-    sums: dict[Word, int] = {}
-    for w, v in f.values.items():
-        for y in sphere(f.params, w):
-            sums[y] = sums.get(y, 0) + v
+    index = VertexIndex(f.params)
+    plus, minus = f.parts()
+    up, down = (Counter(chain.from_iterable(map(index.sphere, s))) for s in (plus, minus))
+    pos, neg = set(map(index.encode, plus)), set(map(index.encode, minus))
 
     failures: list[tuple] = []
-    for x in set(sums) | f.support:
-        lhs = eigenvalue * f(x)
-        rhs = sums.get(x, 0)
-        if lhs != rhs:
-            failures.append((x, lhs, rhs))
+    # for eigenvalue 0 the equation holds exactly when the hit counts agree
+    if eigenvalue or not dict.__eq__(up, down):
+        for x in up.keys() | down.keys() | pos | neg:
+            lhs = eigenvalue if x in pos else -eigenvalue if x in neg else 0
+            rhs = up.get(x, 0) - down.get(x, 0)
+            if lhs != rhs:
+                failures.append((index.decode(x), lhs, rhs))
     return _report("eigen", failures, {"eigenvalue": eigenvalue})
 
 
@@ -255,12 +250,7 @@ def dist2_pair_check(
     if not set0 and not set1:
         return _report("dist2count", [], {"trivial": True})
 
-    failures: list[tuple] = []
-    for name, part in (("t0", set0), ("t1", set1)):
-        d = min_distance(Code(params, part))
-        if d != 3:
-            failures.append(("min_distance", name, d, 3))
-
+    failures = list(min_distance_check(params, set0, set1).witnesses)
     if kind == SPHERICAL:
         expected_pairs = (q - 1) * n // 2
         cross = code_distance(Code(params, set0), Code(params, set1))
@@ -271,17 +261,17 @@ def dist2_pair_check(
         expected_pairs = (q - 1) * (n - 1) // 2
         details = {"expected_distance2": expected_pairs, "expected_distance1": 1}
 
-    for name, part, other in (("t0", set0, set1), ("t1", set1, set0)):
-        for w in sorted(part):
-            at1 = at2 = 0
-            for v in other:
-                d = hamming_distance(w, v)
-                if d == 1:
-                    at1 += 1
-                elif d == 2:
-                    at2 += 1
-            if kind == PERFECT and at1 != 1:
-                failures.append(("count_distance1", name, w, at1, 1))
+    # opposite-part words at distance 1 and 2, counted by id lookups
+    index = VertexIndex(params)
+    ids0, ids1 = set(map(index.encode, set0)), set(map(index.encode, set1))
+    for name, part, other in (("t0", set0, ids1), ("t1", set1, ids0)):
+        has = other.__contains__
+        for w in part:
+            if kind == PERFECT:
+                at1 = sum(map(has, index.sphere(w)))
+                if at1 != 1:
+                    failures.append(("count_distance1", name, w, at1, 1))
+            at2 = sum(map(has, index.radius2(w)))
             if at2 != expected_pairs:
                 failures.append(("count_distance2", name, w, at2, expected_pairs))
 
@@ -324,10 +314,10 @@ def delsarte_face_check(
     Over every face with exactly m-1 fixed positions, such a function must
     sum to zero, and must take at least two nonzero values unless it is
     zero on the whole face.  When the number of faces is at most
-    ``sample_budget`` they are all checked (by a single scan over the
-    support, so untouched faces pass implicitly); otherwise a seeded
-    uniform sample of faces is checked, sized so the total work stays
-    near the budget.
+    ``sample_budget`` they are all checked (one projection of the support
+    per set of fixed positions; untouched faces pass implicitly);
+    otherwise a seeded uniform sample of faces is checked, sized so the
+    total work stays near the budget.
     """
     n, q = f.params.n, f.params.q
     if not isinstance(m, int) or not 1 <= m <= n + 1:
@@ -337,25 +327,28 @@ def delsarte_face_check(
     failures: list[tuple] = []
 
     if faces_total <= sample_budget:
-        acc: dict[tuple[tuple[int, ...], Word], list[int]] = {}
-        for w, v in f.values.items():
-            for positions in combinations(range(n), k):
-                key = (positions, tuple(w[i] for i in positions))
-                entry = acc.get(key)
-                if entry is None:
-                    acc[key] = entry = [0, 0]
-                entry[0] += v
-                entry[1] += 1
-        for (positions, symbols), (total, nonzeros) in acc.items():
-            fixed = tuple((p + 1, s) for p, s in zip(positions, symbols))
-            if total != 0:
-                failures.append(("zero_sum", fixed, total))
-            if nonzeros == 1:
-                failures.append(("support", fixed, nonzeros))
+        # one projection per position set; faces the support misses pass
+        plus, minus = f.parts()
+        faces_with_support = 0
+        for positions in combinations(range(n), k):
+            get = itemgetter(*positions) if k > 1 else lambda w: tuple(w[i] for i in positions)
+            up, down = Counter(map(get, plus)), Counter(map(get, minus))
+            faces = up.keys() | down.keys()
+            faces_with_support += len(faces)
+            if dict.__eq__(up, down):
+                continue
+            for symbols in faces:
+                a, b = up.get(symbols, 0), down.get(symbols, 0)
+                # a lone nonzero value makes the sum nonzero too
+                if a != b:
+                    fixed = tuple((p + 1, s) for p, s in zip(positions, symbols))
+                    failures.append(("zero_sum", fixed, a - b))
+                    if a + b == 1:
+                        failures.append(("support", fixed, 1))
         details = {
             "mode": "exhaustive",
             "faces_total": faces_total,
-            "faces_with_support": len(acc),
+            "faces_with_support": faces_with_support,
         }
     else:
         rng = random.Random(seed)

@@ -199,20 +199,6 @@ def test_info_on_empty_file(tmp_path, capsys):
     assert "is empty" in err
 
 
-def test_threads_env_validation(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "alt.json"
-    save_bitrade(alt_bitrade(3), path)
-    monkeypatch.setenv("BITRADE_THREADS", "abc")
-    assert main(["verify", "--in", str(path)]) == 2
-    _, err = capsys.readouterr()
-    assert "BITRADE_THREADS must be a positive integer" in err
-    monkeypatch.setenv("BITRADE_THREADS", "0")
-    assert main(["verify", "--in", str(path)]) == 2
-    monkeypatch.setenv("BITRADE_THREADS", "4")
-    capsys.readouterr()
-    assert main(["verify", "--in", str(path)]) == 0
-
-
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from bitrades.fields import (
-    DENSE_TABLE_LIMIT,
     FIELD_SIZE_LIMIT,
     _build_field,
     build_field,
@@ -75,20 +74,11 @@ def test_field_axioms_exhaustive(q):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-def test_log_table_path():
-    # 625 > DENSE_TABLE_LIMIT, so multiplication goes through log/antilog
-    f = build_field(625)
-    assert f.q > DENSE_TABLE_LIMIT
-    assert (f.p, f.k) == (5, 4)
-    rng = random.Random(625)
-    for _ in range(200):
-        a = rng.randrange(1, 625)
-        b = rng.randrange(1, 625)
-        assert f.mul(a, f.inv(a)) == 1
-        assert f.mul(a, b) == f.mul(b, a)
-        assert f.mul(a, f.add(b, 1)) == f.add(f.mul(a, b), a)
-    assert f.mul(0, 17) == 0
-    assert f.inv(1) == 1
+def test_build_refuses_fields_above_the_dense_ceiling():
+    # 625 = 5^4 is a prime power, but every field keeps dense q*q tables
+    assert FIELD_SIZE_LIMIT == 512
+    with pytest.raises(ValueError, match="field size 625 exceeds the supported limit 512"):
+        build_field(625)
 
 
 def test_inverse_of_zero():
@@ -125,7 +115,7 @@ def test_build_rejects_non_prime_powers():
 
 
 def test_build_rejects_oversized_fields():
-    with pytest.raises(ValueError, match="131072"):
+    with pytest.raises(ValueError, match="1024"):
         build_field(2 * FIELD_SIZE_LIMIT)
 
 

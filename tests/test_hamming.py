@@ -1,15 +1,19 @@
-"""Metric, neighbourhood, and enumeration primitives."""
+"""Metric, neighbourhood, and enumeration primitives, and the integer kernel."""
 
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitrades.hamming import (
     Code,
     ENUMERATION_CEILING,
     Face,
     HammingParams,
+    VertexIndex,
     all_words,
     ball,
     code_distance,
@@ -19,6 +23,10 @@ from bitrades.hamming import (
     min_distance,
     sphere,
 )
+from bitrades.verify import definition_check
+
+# derandomized, so every run draws the same examples
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
 
 def test_params_basic():
@@ -123,28 +131,52 @@ def test_min_distance_sentinel():
     assert min_distance(Code(p, frozenset({(0, 0, 0)}))) == math.inf
 
 
-def test_min_distance_bucket_path_agrees_with_pairwise():
-    # pairwise_limit=0 forces the deletion-bucket screen on every input
+def pairwise_min(words):
+    """Oracle: the smallest distance over all pairs of distinct words."""
+    return min(
+        (hamming_distance(x, y) for x, y in itertools.combinations(words, 2)),
+        default=math.inf,
+    )
+
+
+def pairwise_cross(c, d):
+    """Oracle: the smallest distance between a word of c and a word of d."""
+    return min(
+        (hamming_distance(x, y) for x in c for y in d), default=math.inf
+    )
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (5, 2)])
+def test_distances_agree_with_pairwise_oracle(n, q):
+    p = HammingParams(n, q)
+    rng = random.Random(n * 10 + q)
+    # sizes up to half the graph, so the projections, the pigeonhole stop
+    # and the pairwise scan all get exercised
+    for _ in range(120):
+        size = rng.randrange(0, p.vertex_count // 2)
+        words = rng.sample(list(all_words(p)), size)
+        cut = rng.randrange(size + 1)
+        c, d = Code(p, frozenset(words[:cut])), Code(p, frozenset(words[cut:]))
+        assert min_distance(c) == pairwise_min(words[:cut])
+        assert code_distance(c, d) == pairwise_cross(words[:cut], words[cut:])
+
+
+def test_exact_distance_examples():
+    # once "3, meaning at least 3" above a size limit; now exact at any size
     p = HammingParams(4, 3)
-    rng = random.Random(11)
-    for _ in range(40):
-        words = frozenset(
-            tuple(rng.randrange(3) for _ in range(4)) for _ in range(rng.randrange(1, 9))
-        )
-        c = Code(p, words)
-        slow = min_distance(c)
-        fast = min_distance(c, pairwise_limit=0)
-        if slow >= 3:
-            assert fast == 3 if slow != math.inf else fast == math.inf
-        else:
-            assert fast == slow
-
-
-def test_min_distance_bucket_path_examples():
+    assert min_distance(Code(p, frozenset({(0,) * 4, (1,) * 4, (2,) * 4}))) == 4
     p = HammingParams(3, 3)
-    assert min_distance(Code(p, frozenset({(0, 0, 0), (0, 0, 1)})), pairwise_limit=0) == 1
-    assert min_distance(Code(p, frozenset({(0, 0, 0), (0, 1, 1)})), pairwise_limit=0) == 2
-    assert min_distance(Code(p, frozenset({(0, 0, 0), (1, 1, 1)})), pairwise_limit=0) == 3
+    assert min_distance(Code(p, frozenset({(0, 0, 0), (0, 0, 1)}))) == 1
+    assert min_distance(Code(p, frozenset({(0, 0, 0), (0, 1, 1)}))) == 2
+    assert min_distance(Code(p, frozenset({(0, 0, 0), (1, 1, 1)}))) == 3
+    # the whole graph has distance 1; two far words in a long graph keep n
+    assert min_distance(Code(p, frozenset(all_words(p)))) == 1
+    big = HammingParams(40, 2)
+    assert min_distance(Code(big, frozenset({(0,) * 40, (1,) * 40}))) == 40
+    far = Code(big, frozenset({(1,) * 40}))
+    assert code_distance(Code(big, frozenset({(0,) * 40})), far) == 40
+    assert code_distance(Code(HammingParams(1, 3), frozenset({(0,)})),
+                         Code(HammingParams(1, 3), frozenset({(2,)}))) == 1
 
 
 def test_min_distance_three_means_ball_packing():
@@ -229,3 +261,102 @@ def test_concat():
         concat((0, 1), ())
     with pytest.raises(ValueError):
         concat((0, 3), (1,), q=3)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel
+
+
+@st.composite
+def params_and_word(draw):
+    # q = 2 and n = 1 included, and words of length 6 and more
+    n = draw(st.integers(1, 8))
+    q = draw(st.integers(2, 5 if n <= 5 else 3))
+    word = tuple(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+    return HammingParams(n, q), word
+
+
+# the edge cases, drawn or not: q = 2, n = 1 and words of length 6 and more
+EDGE_CASES = [
+    (HammingParams(1, 2), (1,)),
+    (HammingParams(6, 2), (0, 1, 1, 0, 1, 0)),
+    (HammingParams(8, 3), (2, 0, 1, 2, 2, 0, 1, 0)),
+]
+
+
+def with_edge_cases(test):
+    for case in EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
+def radius2_words(params, word):
+    """Oracle: every word at distance exactly 2, in lexicographic order."""
+    return [w for w in all_words(params) if hamming_distance(w, word) == 2]
+
+
+@PROPERTY
+@given(params_and_word())
+@with_edge_cases
+def test_encode_decode_round_trip(case):
+    params, word = case
+    index = VertexIndex(params)
+    v = index.encode(word)
+    assert 0 <= v < params.vertex_count
+    assert index.decode(v) == word
+
+
+@PROPERTY
+@given(params_and_word())
+@with_edge_cases
+def test_kernel_neighbourhoods_match_word_versions(case):
+    params, word = case
+    index = VertexIndex(params)
+    assert list(index.sphere(word)) == [index.encode(w) for w in sphere(params, word)]
+    assert list(index.ball(word)) == [index.encode(w) for w in ball(params, word)]
+    r2 = index.radius2(word)
+    assert len(r2) == len(set(r2)) == math.comb(params.n, 2) * (params.q - 1) ** 2
+    assert sorted(r2) == [index.encode(w) for w in radius2_words(params, word)]
+
+
+def test_kernel_small_cases():
+    index = VertexIndex(HammingParams(1, 2))
+    assert list(index.sphere((0,))) == [1]
+    assert list(index.ball((1,))) == [1, 0]
+    assert index.radius2((1,)) == []
+    index = VertexIndex(HammingParams(3, 3))
+    assert index.encode((1, 2, 0)) == 15
+    assert index.decode(15) == (1, 2, 0)
+    assert list(index.sphere((0, 0, 0))) == [9, 18, 3, 6, 1, 2]
+    # ids number the words in lexicographic order
+    for params in (HammingParams(1, 5), HammingParams(3, 3), HammingParams(6, 2)):
+        index = VertexIndex(params)
+        assert list(map(index.encode, all_words(params))) == list(range(params.vertex_count))
+
+
+@st.composite
+def small_pairs(draw):
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(2, 4))
+    params = HammingParams(n, q)
+    words = draw(
+        st.lists(st.integers(0, params.vertex_count - 1), unique=True, max_size=10)
+    )
+    cut = draw(st.integers(0, len(words)))
+    index = VertexIndex(params)
+    kind = draw(st.sampled_from(["spherical", "perfect"]))
+    t0 = frozenset(map(index.decode, words[:cut]))
+    t1 = frozenset(map(index.decode, words[cut:]))
+    return params, kind, t0, t1
+
+
+@PROPERTY
+@given(small_pairs())
+def test_definition_check_closure_agrees_with_full_sweep(case):
+    params, kind, t0, t1 = case
+    closure = definition_check(params, kind, t0, t1)
+    full = definition_check(params, kind, t0, t1, full_sweep=True)
+    assert closure.passed == full.passed
+    assert closure.witnesses == full.witnesses
+    assert closure.failure_count == full.failure_count
+    assert full.details["vertices_checked"] == params.vertex_count

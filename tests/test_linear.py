@@ -218,3 +218,19 @@ def test_verify_mds():
     # codes with at most one word are MDS by convention
     f3 = build_field(3)
     assert verify_mds(ParityCheckCode(f3, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+
+
+def rs854():
+    """The [8, 5, 4] Reed-Solomon code over GF(8): check rows 1, a and a^2."""
+    f = build_field(8)
+    rows = [(1,) * 8, tuple(f.elements), tuple(f.mul(a, a) for a in f.elements)]
+    return ParityCheckCode(f, 8, rows)
+
+
+def test_rs854_has_exact_distance_four_and_is_mds():
+    # above 20000 words, where min_distance once answered "3, at least 3"
+    code = rs854()
+    words = frozenset(code.words())
+    assert len(words) == code.size() == 8**5
+    assert min_distance(Code(code.params, words)) == 4
+    assert verify_mds(code)

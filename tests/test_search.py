@@ -157,3 +157,32 @@ def test_local_start_must_match_parameters():
 def test_result_volume_property():
     empty = SearchResult(None, True, 5, 0.1)
     assert empty.volume is None
+
+
+# Node counts and a walk recorded before the searches moved onto the shared
+# integer kernel: candidates are still tried in sorted id order, so neither
+# the trees nor the walks may change.
+PINNED_NODE_COUNTS = [
+    (find_spherical, HammingParams(3, 3), None, 20),
+    (find_spherical, HammingParams(3, 3), 2, 14),
+    (min_perfect_volume, HammingParams(4, 3), None, 224),
+    (min_perfect_volume, HammingParams(4, 3), 5, 221),
+    (min_perfect_volume, HammingParams(5, 4), 8, 771_085),
+]
+
+
+@pytest.mark.parametrize("search,params,bound,nodes", PINNED_NODE_COUNTS)
+def test_exhaustive_node_counts_are_pinned(search, params, bound, nodes):
+    result = search(SearchConfig(params, volume_upper_bound=bound))
+    assert result.proven_minimum
+    assert result.nodes_explored == nodes
+
+
+def test_seeded_walk_is_pinned():
+    cfg = SearchConfig(HammingParams(3, 3), mode="local", seed=1, move_budget=4000)
+    result = find_spherical(cfg)
+    assert result.nodes_explored == 4000
+    assert result.best.sorted_parts() == (
+        [(0, 1, 1), (1, 0, 0), (2, 2, 2)],
+        [(0, 0, 2), (1, 2, 1), (2, 1, 0)],
+    )

@@ -28,7 +28,9 @@ from bitrades import (
     verify_perfect,
     verify_spherical,
 )
+from bitrades.fields import build_field
 from bitrades.hamming import all_words, hamming_distance
+from bitrades.linear import ParityCheckCode
 from bitrades.verify import FULL_SWEEP_CEILING, WITNESS_LIMIT
 
 
@@ -208,6 +210,18 @@ def test_min_distance_check():
     report = min_distance_check(b.params, frozenset({(0, 0, 0)}), frozenset())
     assert not report.passed
     assert min_distance_check(b.params, frozenset(), frozenset()).passed
+
+
+def test_min_distance_check_fails_a_large_distance_four_part():
+    # the [8, 5, 4] code: 32768 words at distance 4, once passed as "3"
+    f = build_field(8)
+    rows = [(1,) * 8, tuple(f.elements), tuple(f.mul(a, a) for a in f.elements)]
+    words = frozenset(ParityCheckCode(f, 8, rows).words())
+    assert len(words) > 20000
+    other = frozenset({(1, 1, 1) + (0,) * 5, (2, 2, 2) + (0,) * 5})
+    report = min_distance_check(HammingParams(8, 8), words, other)
+    assert not report.passed
+    assert report.witnesses == (("min_distance", "t0", 4, 3),)
 
 
 def test_dist2_profile_spherical():
