@@ -14,6 +14,7 @@ from .construct import (
     SPHERICAL,
     Bitrade,
     alt_bitrade,
+    bitrade_kind,
     lift_to_perfect,
     mds_bitrade,
     tensor_combine,
@@ -165,15 +166,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     params = HammingParams(args.n, args.q)
-    if (args.n - 1) % args.q == 0:
-        kind, op = PERFECT, min_perfect_volume
-    elif args.n % args.q == 0:
-        kind, op = SPHERICAL, find_spherical
-    else:
-        raise ValueError(
-            f"no bitrade parameters fit H({args.n}, {args.q}): n must be "
-            f"1 (mod q) for perfect bitrades or a multiple of q for spherical bitrades"
-        )
+    kind = bitrade_kind(params)
+    op = min_perfect_volume if kind == PERFECT else find_spherical
     config = SearchConfig(
         params=params,
         mode=args.mode,

@@ -24,6 +24,39 @@ PERFECT = "perfect"
 KINDS = (SPHERICAL, PERFECT)
 
 
+# kind: (what n must be, the eigenvalue, when H(n, q) has that eigenvalue)
+_EXISTENCE = {
+    SPHERICAL: ("a multiple of q", "0", "q divides n"),
+    PERFECT: ("1 (mod q)", "-1", "n = 1 (mod q)"),
+}
+
+
+def bitrade_kind(params: HammingParams, kind: str | None = None) -> str:
+    """The one kind of bitrade that H(n, q) can hold, checked against ``kind``.
+
+    The parts' indicator difference is an eigenfunction for 0 (spherical)
+    or -1 (perfect), and the eigenvalues of H(n, q) are n(q-1) - q*i, so a
+    spherical bitrade needs q | n and a perfect one n = 1 (mod q); since
+    q >= 2, at most one holds.  Raises ValueError when H(n, q) holds no
+    bitrade, or none of the given kind.
+    """
+    n, q = params.n, params.q
+    fits = SPHERICAL if n % q == 0 else PERFECT if n % q == 1 else None
+    if kind is None and fits is None:
+        raise ValueError(
+            f"no bitrade parameters fit H({n}, {q}): n must be 1 (mod q) for "
+            f"perfect bitrades or a multiple of q for spherical bitrades"
+        )
+    if kind is not None and kind != fits:
+        need, value, when = _EXISTENCE[kind]
+        raise ValueError(
+            f"no {kind} bitrade exists in H({n}, {q}): n must be {need}, since the "
+            f"parts' indicator difference would be an eigenfunction for {value}, "
+            f"and {value} is among the eigenvalues n(q-1) - q*i only when {when}"
+        )
+    return fits
+
+
 @dataclass(frozen=True)
 class Bitrade:
     """Two disjoint parts in a common Hamming graph, tagged by kind.
@@ -52,19 +85,7 @@ class Bitrade:
                 f"parts must be disjoint; {len(overlap)} shared words, "
                 f"e.g. {min(overlap)!r}"
             )
-        n, q = self.params.n, self.params.q
-        if self.kind == SPHERICAL and n % q != 0:
-            raise ValueError(
-                f"no spherical bitrade exists in H({n}, {q}): the parts' indicator "
-                f"difference would be an eigenfunction for 0, but the eigenvalues "
-                f"are n(q-1) - q*i, and 0 is among them only when q divides n"
-            )
-        if self.kind == PERFECT and n % q != 1:
-            raise ValueError(
-                f"no perfect bitrade exists in H({n}, {q}): the parts' indicator "
-                f"difference would be an eigenfunction for -1, but the eigenvalues "
-                f"are n(q-1) - q*i, and -1 is among them only when n = 1 (mod q)"
-            )
+        bitrade_kind(self.params, self.kind)
 
     @property
     def volume(self) -> int:

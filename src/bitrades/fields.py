@@ -127,6 +127,19 @@ def _undigits(ds: Iterable[int], p: int) -> int:
     return total
 
 
+def _powers_of_primitive(spec: FieldSpec, digits: list[tuple[int, ...]]) -> list[int]:
+    """g^0, ..., g^(q-2) for the least primitive element g of GF(q)."""
+    for g in range(1, spec.q):
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = _undigits(_poly_mul_mod(digits[x], digits[g], spec.modulus, spec.p), spec.p)
+        if len(powers) == spec.q - 1:
+            return powers
+    raise AssertionError(f"GF({spec.q}) has no primitive element")
+
+
 # ---------------------------------------------------------------------------
 # the table object
 
@@ -150,19 +163,23 @@ class FieldTable:
             _undigits(((-d) % p for d in digits[e]), p) for e in range(q)
         )
 
-        self._add = tuple(
-            tuple(
-                _undigits(((x + y) % p for x, y in zip(digits[a], digits[b])), p)
-                for b in range(q)
-            )
-            for a in range(q)
-        )
-        self._mul = tuple(
-            tuple(
-                _undigits(_poly_mul_mod(digits[a], digits[b], spec.modulus, p), p)
-                for b in range(q)
-            )
-            for a in range(q)
+        # Digitwise addition mod p: the low digit here, the rest from the
+        # row of a // p, which is already built.
+        add: list[tuple[int, ...]] = [tuple(range(q))]
+        for a in range(1, q):
+            low, high = a % p, add[a // p]
+            add.append(tuple((low + b % p) % p + p * high[b // p] for b in range(q)))
+        self._add = tuple(add)
+
+        # a * b = g^(log a + log b) for a primitive element g.
+        exp = _powers_of_primitive(spec, digits)
+        log = [0] * q
+        for e, x in enumerate(exp):
+            log[x] = e
+        exp2 = exp + exp
+        logs = log[1:]
+        self._mul = ((0,) * q,) + tuple(
+            (0, *[exp2[log[a] + lb] for lb in logs]) for a in range(1, q)
         )
         self._inv = (0,) + tuple(self._mul[a].index(1) for a in range(1, q))
 

@@ -25,7 +25,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .construct import PERFECT, SPHERICAL, Bitrade
+from .construct import PERFECT, SPHERICAL, Bitrade, bitrade_kind
 from .hamming import HammingParams, VertexIndex
 from .verify import definition_check
 
@@ -38,16 +38,21 @@ STAGNATION_LIMIT = 200
 
 MODES = ("exhaustive", "local")
 
+# Knobs each engine never reads; setting one is refused rather than ignored.
+_UNUSED = {"exhaustive": ("move_budget", "start"), "local": ("volume_upper_bound",)}
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of one search run.
 
-    ``volume_upper_bound`` restricts the search to volumes at most that
-    value; ``time_budget`` is in seconds (exhaustive mode defaults to
-    unlimited, local mode to 60); ``move_budget`` caps the number of
-    applied local-search moves so runs can be cut off deterministically;
-    ``start`` seeds the local walk with a known bitrade.
+    ``time_budget`` is in seconds (exhaustive mode defaults to unlimited,
+    local mode to 60).  Three knobs are mode-specific, and setting one for
+    the mode that does not read it raises ValueError.  Exhaustive mode
+    only: ``volume_upper_bound`` restricts the search to volumes at most
+    that value.  Local mode only: ``move_budget`` caps the number of
+    applied moves so runs can be cut off deterministically, and ``start``
+    seeds the walk with a known bitrade.
     """
 
     params: HammingParams
@@ -70,6 +75,9 @@ class SearchConfig:
         if self.move_budget is not None:
             if not isinstance(self.move_budget, int) or self.move_budget < 1:
                 raise ValueError("move_budget must be a positive integer")
+        for name in _UNUSED[self.mode]:
+            if getattr(self, name) is not None:
+                raise ValueError(f"{name} is not used in {self.mode} mode")
 
 
 @dataclass(frozen=True)
@@ -95,27 +103,16 @@ class SearchResult:
 
 def min_perfect_volume(config: SearchConfig) -> SearchResult:
     """Search H(n, q) for a minimum-volume perfect bitrade."""
-    params = config.params
-    if (params.n - 1) % params.q != 0:
-        raise ValueError(
-            f"no perfect bitrade exists in H({params.n}, {params.q}): "
-            f"n must be 1 (mod q) for perfect bitrades"
-        )
     return _run(config, PERFECT)
 
 
 def find_spherical(config: SearchConfig) -> SearchResult:
     """Search H(n, q) for a minimum-volume spherical bitrade."""
-    params = config.params
-    if params.n % params.q != 0:
-        raise ValueError(
-            f"no spherical bitrade exists in H({params.n}, {params.q}): "
-            f"n must be a multiple of q for spherical bitrades"
-        )
     return _run(config, SPHERICAL)
 
 
 def _run(config: SearchConfig, kind: str) -> SearchResult:
+    bitrade_kind(config.params, kind)
     if config.mode == "exhaustive":
         return _exhaustive(config, kind)
     return _local(config, kind)
@@ -342,6 +339,56 @@ class _LocalState:
             else:
                 self.violated.add(y)
 
+    def scored_moves(
+        self, x: int, pinned: set[int]
+    ) -> list[tuple[int, tuple[str, int, int]]]:
+        """Every move around x with the objective it would leave, in order.
+
+        Each word of x's neighbourhood yields two moves: add to side 0 and
+        add to side 1 for a free word, remove and move for an unpinned part
+        word (pinned words stay put; they anchor the walk away from the
+        empty state).  One read-only pass over the word's neighbourhood
+        scores both.  A vertex whose counts are a on one side and b on the
+        other is violated when a != b or a > 1, which is symmetric in the
+        sides, and each move shifts a vertex's counts by one.
+        """
+        counts = self.counts
+        get0 = counts[0].get
+        get1 = counts[1].get
+        part0, part1 = self.parts
+        base = len(self.violated)
+        ids = self.regions.ids
+        scored: list[tuple[int, tuple[str, int, int]]] = []
+        for w in ids(x):
+            if w in part0 or w in part1:
+                if w in pinned:
+                    continue
+                side = 0 if w in part0 else 1
+                own = counts[side].get
+                other = counts[1 - side].get
+                # remove: (a - 1, b); move: (a - 1, b + 1)
+                dr = dm = 0
+                for y in ids(w):
+                    a = own(y, 0)
+                    b = other(y, 0)
+                    was = a != b or a > 1
+                    dr += (a - 1 != b or a > 2) - was
+                    dm += (a != b + 2 or a > 2) - was
+                scored.append((base + dr, ("remove", w, side)))
+                scored.append((base + dm, ("move", w, side)))
+            else:
+                # add to 0: (a + 1, b); add to 1: (a, b + 1)
+                d0 = d1 = 0
+                for y in ids(w):
+                    a = get0(y, 0)
+                    b = get1(y, 0)
+                    was = a != b or a > 1
+                    d0 += (a + 1 != b or a > 0) - was
+                    d1 += (b + 1 != a or b > 0) - was
+                scored.append((base + d0, ("add", w, 0)))
+                scored.append((base + d1, ("add", w, 1)))
+        return scored
+
 
 def _apply_move(state: _LocalState, move: tuple[str, int, int]) -> None:
     op, w, side = move
@@ -354,17 +401,6 @@ def _apply_move(state: _LocalState, move: tuple[str, int, int]) -> None:
         state.toggle(w, 1 - side, True)
 
 
-def _revert_move(state: _LocalState, move: tuple[str, int, int]) -> None:
-    op, w, side = move
-    if op == "add":
-        state.toggle(w, side, False)
-    elif op == "remove":
-        state.toggle(w, side, True)
-    else:
-        state.toggle(w, 1 - side, False)
-        state.toggle(w, side, True)
-
-
 def _inverse_key(move: tuple[str, int, int]) -> tuple[str, int, int]:
     op, w, side = move
     if op == "add":
@@ -372,27 +408,6 @@ def _inverse_key(move: tuple[str, int, int]) -> tuple[str, int, int]:
     if op == "remove":
         return ("add", w, side)
     return ("move", w, 1 - side)
-
-
-def _candidate_moves(
-    state: _LocalState, x: int, pinned: set[int]
-) -> list[tuple[str, int, int]]:
-    # pinned words stay put; they anchor the walk away from the empty state
-    moves: list[tuple[str, int, int]] = []
-    part0, part1 = state.parts
-    for w in state.regions.ids(x):
-        if w in part0:
-            if w not in pinned:
-                moves.append(("remove", w, 0))
-                moves.append(("move", w, 0))
-        elif w in part1:
-            if w not in pinned:
-                moves.append(("remove", w, 1))
-                moves.append(("move", w, 1))
-        else:
-            moves.append(("add", w, 0))
-            moves.append(("add", w, 1))
-    return moves
 
 
 def _local(config: SearchConfig, kind: str) -> SearchResult:
@@ -455,15 +470,12 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
             restart()
             continue
         x = rng.choice(sorted(state.violated))
-        scored: list[tuple[int, tuple[str, int, int]]] = []
-        for move in _candidate_moves(state, x, pinned):
-            _apply_move(state, move)
-            scored.append((state.objective(), move))
-            _revert_move(state, move)
+        scored = state.scored_moves(x, pinned)
         if not scored:
             restart()
             continue
-        open_moves = [sm for sm in scored if sm[1] not in tabu or sm[0] < restart_best]
+        barred = set(tabu)
+        open_moves = [sm for sm in scored if sm[1] not in barred or sm[0] < restart_best]
         if not open_moves:
             open_moves = scored
         low = min(score for score, _ in open_moves)

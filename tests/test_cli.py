@@ -142,6 +142,15 @@ def test_search_infeasible_parameters(capsys):
     )
 
 
+def test_search_local_mode_refuses_upper_bound(capsys):
+    code = main([
+        "search", "--n", "3", "--q", "3", "--mode", "local", "--upper-bound", "4",
+    ])
+    assert code == 2
+    _, err = capsys.readouterr()
+    assert "volume_upper_bound is not used in local mode" in err
+
+
 def test_search_local_mode(capsys):
     code = main([
         "search", "--n", "3", "--q", "3", "--mode", "local", "--budget", "5",

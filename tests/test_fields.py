@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -133,3 +134,59 @@ def test_build_is_deterministic():
 
 def test_build_field_is_cached():
     assert build_field(9) is build_field(9)
+
+
+# Tables against products written here: digits of a and b as polynomials
+# over GF(p), multiplied and reduced modulo the field's monic modulus.
+def _poly_product(a, b, p, modulus):
+    k = len(modulus) - 1
+    da = [(a // p**i) % p for i in range(k)]
+    db = [(b // p**i) % p for i in range(k)]
+    prod = [0] * (2 * k)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for top in range(2 * k - 1, k - 1, -1):
+        c = prod[top] % p
+        for i, m in enumerate(modulus):
+            prod[top - k + i] -= c * m
+    return sum((prod[i] % p) * p**i for i in range(k))
+
+
+def _digit_sum(a, b, p, k):
+    return sum((((a // p**i) + (b // p**i)) % p) * p**i for i in range(k))
+
+
+SMALL_FIELDS = [
+    2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
+    27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64,
+]
+
+
+def test_small_fields_are_every_supported_size_up_to_64():
+    for q in range(2, 65):
+        if q not in SMALL_FIELDS:
+            with pytest.raises(ValueError, match="not a prime power"):
+                _build_field(q)
+
+
+@pytest.mark.parametrize("q", SMALL_FIELDS)
+def test_tables_equal_polynomial_products(q):
+    f = _build_field(q)
+    for a in f.elements:
+        for b in f.elements:
+            assert f.mul(a, b) == _poly_product(a, b, f.p, f.modulus)
+            assert f.add(a, b) == _digit_sum(a, b, f.p, f.k)
+
+
+def test_gf512_sampled_products_and_build_time():
+    started = time.perf_counter()
+    f = _build_field(512)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0
+    rng = random.Random(512)
+    for _ in range(3000):
+        a, b = rng.randrange(512), rng.randrange(512)
+        assert f.mul(a, b) == _poly_product(a, b, 2, f.modulus)
+        assert f.add(a, b) == a ^ b
+    assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, 512))

@@ -1,8 +1,16 @@
 """Minimum-volume searches: exhaustive branch and bound, local walk."""
 
+import hashlib
+import random
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
+import bitrades.search as search_module
 from bitrades import (
+    PERFECT,
+    SPHERICAL,
     HammingParams,
     SearchConfig,
     SearchResult,
@@ -10,6 +18,7 @@ from bitrades import (
     find_spherical,
     lift_to_perfect,
     min_perfect_volume,
+    tensor_power,
     verify_perfect,
     verify_spherical,
 )
@@ -186,3 +195,143 @@ def test_seeded_walk_is_pinned():
         [(0, 1, 1), (1, 0, 0), (2, 2, 2)],
         [(0, 0, 2), (1, 2, 1), (2, 1, 0)],
     )
+
+
+@pytest.mark.parametrize("mode,knob,value", [
+    ("local", "volume_upper_bound", 4),
+    ("exhaustive", "move_budget", 100),
+    ("exhaustive", "start", alt_bitrade(3)),
+])
+def test_knobs_the_mode_ignores_are_refused(mode, knob, value):
+    with pytest.raises(ValueError, match=f"{knob} is not used in {mode} mode"):
+        SearchConfig(HammingParams(3, 3), mode=mode, **{knob: value})
+
+
+# Twenty walks recorded before the walk scored candidate moves by deltas
+# instead of applying and reverting each one.  Each record holds the move
+# count, the best parts and the final state of the walk's RNG; the state
+# advances with every draw, so a walk that draws more, fewer or over other
+# ranges ends in another state.
+PINNED_WALKS_SHA256 = "2bd318edb4cf1c1a2eae6f4eed8f240fbc396418dd3d513cb3a8244d3908f0d2"
+
+
+def test_seeded_walks_match_recorded_digest(monkeypatch):
+    made = []
+
+    class KeptRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(search_module, "random", SimpleNamespace(Random=KeptRandom))
+    lifted = lift_to_perfect(tensor_power(alt_bitrade(3), 2))
+    walks = [
+        (min_perfect_volume, HammingParams(4, 3), 1500, None),
+        (find_spherical, HammingParams(6, 3), 1000, None),
+        (find_spherical, HammingParams(5, 5), 600, None),
+        (min_perfect_volume, HammingParams(7, 3), 600, lifted),
+    ]
+    records = []
+    for search, params, budget, start in walks:
+        for seed in range(5):
+            result = search(SearchConfig(
+                params, mode="local", seed=seed, move_budget=budget, start=start
+            ))
+            best = None if result.best is None else result.best.sorted_parts()
+            records.append((result.nodes_explored, best, made.pop().getstate()))
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == PINNED_WALKS_SHA256
+
+
+# The walk's move scores against a recount written here: neighbourhoods
+# from words, ids with the first coordinate most significant, and the
+# violated vertices counted afresh from the parts after each move.
+def _word(i, n, q):
+    return tuple((i // q ** (n - 1 - j)) % q for j in range(n))
+
+
+def _id(word, q):
+    return sum(s * q ** (len(word) - 1 - j) for j, s in enumerate(word))
+
+
+def _hood(i, n, q, ball):
+    w = _word(i, n, q)
+    out = [i] if ball else []
+    for j in range(n):
+        for s in range(q):
+            if s != w[j]:
+                out.append(_id(w[:j] + (s,) + w[j + 1:], q))
+    return sorted(out)
+
+
+def _violated(parts, hood):
+    counts = [Counter(), Counter()]
+    for side in (0, 1):
+        for w in parts[side]:
+            counts[side].update(hood(w))
+    return sum(
+        1 for y in counts[0].keys() | counts[1].keys()
+        if counts[0][y] != counts[1][y] or counts[0][y] > 1
+    )
+
+
+def _recounted_moves(parts, x, pinned, hood):
+    out = []
+    for w in hood(x):
+        after = [set(parts[0]), set(parts[1])]
+        if w in parts[0] or w in parts[1]:
+            if w in pinned:
+                continue
+            side = 0 if w in parts[0] else 1
+            after[side].remove(w)
+            out.append((_violated(after, hood), ("remove", w, side)))
+            after[1 - side].add(w)
+            out.append((_violated(after, hood), ("move", w, side)))
+        else:
+            for side in (0, 1):
+                after = [set(parts[0]), set(parts[1])]
+                after[side].add(w)
+                out.append((_violated(after, hood), ("add", w, side)))
+    return out
+
+
+@pytest.mark.parametrize("kind,n,q", [
+    (SPHERICAL, 3, 3), (SPHERICAL, 5, 5), (PERFECT, 4, 3), (PERFECT, 7, 3),
+])
+def test_move_scores_equal_a_recount(kind, n, q):
+    ball = kind == PERFECT
+    hoods = {}
+
+    def hood(i):
+        if i not in hoods:
+            hoods[i] = _hood(i, n, q, ball)
+        return hoods[i]
+
+    seen_double = seen_pinned = False
+    for seed in range(3):
+        rng = random.Random(1000 * n + 10 * q + seed)
+        state = search_module._LocalState(search_module._Regions(HammingParams(n, q), kind))
+        centres = [rng.randrange(q**n) for _ in range(3)]
+        # random toggles near a few centres, so counts pile above 1
+        for _ in range(40):
+            w = rng.choice(hood(rng.choice(centres)))
+            if w in state.parts[0] or w in state.parts[1]:
+                side = 0 if w in state.parts[0] else 1
+                state.toggle(w, side, False)
+                if rng.random() < 0.5:
+                    state.toggle(w, 1 - side, True)
+            else:
+                state.toggle(w, rng.randrange(2), True)
+        parts = (set(state.parts[0]), set(state.parts[1]))
+        pinned = {w for w in sorted(parts[0] | parts[1]) if rng.random() < 0.3}
+        assert state.objective() == _violated(parts, hood)
+        seen_double |= any(c > 1 for side in (0, 1) for c in state.counts[side].values())
+        xs = rng.sample(sorted(state.violated), min(12, len(state.violated)))
+        xs += [rng.randrange(q**n) for _ in range(4)]
+        for x in xs:
+            expected = _recounted_moves(parts, x, pinned, hood)
+            assert state.scored_moves(x, pinned) == expected
+            seen_pinned |= any(w in pinned for w in hood(x))
+        # scoring leaves the state as it was
+        assert parts == state.parts
+        assert state.objective() == _violated(parts, hood)
+    assert seen_double and seen_pinned
