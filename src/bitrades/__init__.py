@@ -20,14 +20,11 @@ from .construct import (
 from .fields import FieldSpec, FieldTable, build_field
 from .hamming import (
     Code,
-    Face,
     HammingParams,
     Word,
     all_words,
     ball,
     code_distance,
-    concat,
-    face_words,
     hamming_distance,
     min_distance,
     sphere,
@@ -70,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bitrade",
     "Code",
-    "Face",
     "FieldSpec",
     "FieldTable",
     "FORMAT_VERSION",
@@ -90,7 +86,6 @@ __all__ = [
     "bitrade_delsarte_order",
     "build_field",
     "code_distance",
-    "concat",
     "coset",
     "definition_check",
     "delsarte_face_check",
@@ -100,7 +95,6 @@ __all__ = [
     "dumps_json",
     "dumps_text",
     "eigen_check",
-    "face_words",
     "find_spherical",
     "from_document",
     "hamming_distance",

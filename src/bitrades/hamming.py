@@ -17,7 +17,7 @@ from operator import getitem, itemgetter, mul, ne
 
 Word = tuple[int, ...]
 
-# Whole-graph and whole-face enumerations are refused above this many words.
+# Whole-graph and whole-code enumerations are refused above this many words.
 ENUMERATION_CEILING = 2**48
 
 
@@ -90,46 +90,6 @@ class Code:
 
     def __contains__(self, word: object) -> bool:
         return word in self.words
-
-    def sorted_words(self) -> list[Word]:
-        return sorted(self.words)
-
-
-@dataclass(frozen=True)
-class Face:
-    """An axis-aligned subcube of H(n, q): some positions pinned to symbols.
-
-    Fixed positions are 1-based on the public surface (position 1 is the
-    first coordinate); free positions range over the whole alphabet.
-    ``fixed`` accepts a mapping or an iterable of (position, symbol) pairs
-    and is stored as a sorted tuple, so faces are hashable and compare by
-    value.
-    """
-
-    params: HammingParams
-    fixed: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        pairs = dict(self.fixed)
-        for pos, sym in pairs.items():
-            if not isinstance(pos, int) or not 1 <= pos <= self.params.n:
-                raise ValueError(
-                    f"fixed position {pos!r} out of range 1..{self.params.n}"
-                )
-            if not isinstance(sym, int) or not 0 <= sym < self.params.q:
-                raise ValueError(
-                    f"fixed symbol {sym!r} at position {pos} out of range 0..{self.params.q - 1}"
-                )
-        object.__setattr__(self, "fixed", tuple(sorted(pairs.items())))
-
-    @property
-    def free_positions(self) -> tuple[int, ...]:
-        """The 1-based positions not pinned by the face."""
-        pinned = {pos for pos, _ in self.fixed}
-        return tuple(p for p in range(1, self.params.n + 1) if p not in pinned)
-
-    def word_count(self) -> int:
-        return self.params.q ** len(self.free_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +251,6 @@ class VertexIndex:
 # enumeration
 
 
-def face_words(face: Face) -> Iterator[Word]:
-    """Yield the words of the face in lexicographic order of the free coordinates."""
-    params = face.params
-    free = [p - 1 for p in face.free_positions]
-    if params.q ** len(free) > ENUMERATION_CEILING:
-        raise ValueError(
-            f"refusing to enumerate {params.q}**{len(free)} words; "
-            f"the ceiling is 2**48"
-        )
-    template = [0] * params.n
-    for pos, sym in face.fixed:
-        template[pos - 1] = sym
-    for combo in itertools.product(range(params.q), repeat=len(free)):
-        for pos, sym in zip(free, combo):
-            template[pos] = sym
-        yield tuple(template)
-
-
 def all_words(params: HammingParams) -> Iterator[Word]:
     """Yield every vertex of H(n, q) in lexicographic order."""
     if params.vertex_count > ENUMERATION_CEILING:
@@ -316,15 +258,3 @@ def all_words(params: HammingParams) -> Iterator[Word]:
             f"refusing to enumerate {params.q}**{params.n} words; the ceiling is 2**48"
         )
     return iter(itertools.product(range(params.q), repeat=params.n))
-
-
-def concat(x: Word, y: Word, q: int | None = None) -> Word:
-    """Concatenate two words; with q given, both are validated over that alphabet."""
-    if not x or not y:
-        raise ValueError("cannot concatenate empty words")
-    if q is not None:
-        for w in (x, y):
-            for s in w:
-                if not isinstance(s, int) or not 0 <= s < q:
-                    raise ValueError(f"symbol {s!r} in {w!r} is not in 0..{q - 1}")
-    return x + y

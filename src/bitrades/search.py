@@ -23,7 +23,7 @@ import random
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .construct import PERFECT, SPHERICAL, Bitrade, bitrade_kind
 from .hamming import HammingParams, VertexIndex
@@ -38,8 +38,11 @@ STAGNATION_LIMIT = 200
 
 MODES = ("exhaustive", "local")
 
-# Knobs each engine never reads; setting one is refused rather than ignored.
-_UNUSED = {"exhaustive": ("move_budget", "start"), "local": ("volume_upper_bound",)}
+# Knobs each engine never reads; a value other than the default is refused, not ignored.
+_UNUSED = {
+    "exhaustive": ("move_budget", "start", "seed"),
+    "local": ("volume_upper_bound", "symmetry_breaking"),
+}
 
 
 @dataclass(frozen=True)
@@ -47,12 +50,14 @@ class SearchConfig:
     """Parameters of one search run.
 
     ``time_budget`` is in seconds (exhaustive mode defaults to unlimited,
-    local mode to 60).  Three knobs are mode-specific, and setting one for
-    the mode that does not read it raises ValueError.  Exhaustive mode
-    only: ``volume_upper_bound`` restricts the search to volumes at most
-    that value.  Local mode only: ``move_budget`` caps the number of
-    applied moves so runs can be cut off deterministically, and ``start``
-    seeds the walk with a known bitrade.
+    local mode to 60).  Five knobs are mode-specific, and giving one a
+    value other than its default in the mode that does not read it raises
+    ValueError.  Exhaustive mode only: ``volume_upper_bound`` restricts
+    the search to volumes at most that value, and ``symmetry_breaking``
+    seeds the search with canonical first words.  Local mode only:
+    ``seed`` seeds the walk's random choices, ``move_budget`` caps the
+    number of applied moves so runs can be cut off deterministically, and
+    ``start`` seeds the walk with a known bitrade.
     """
 
     params: HammingParams
@@ -75,9 +80,9 @@ class SearchConfig:
         if self.move_budget is not None:
             if not isinstance(self.move_budget, int) or self.move_budget < 1:
                 raise ValueError("move_budget must be a positive integer")
-        for name in _UNUSED[self.mode]:
-            if getattr(self, name) is not None:
-                raise ValueError(f"{name} is not used in {self.mode} mode")
+        for knob in fields(self):
+            if knob.name in _UNUSED[self.mode] and getattr(self, knob.name) != knob.default:
+                raise ValueError(f"{knob.name} is not used in {self.mode} mode")
 
 
 @dataclass(frozen=True)

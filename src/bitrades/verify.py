@@ -12,7 +12,6 @@ exactly that.
 from __future__ import annotations
 
 import math
-import random
 import warnings
 from collections import Counter
 from collections.abc import Iterable
@@ -32,8 +31,9 @@ from .hamming import (
 
 WITNESS_LIMIT = 10
 
-# Full vertex sweeps are only allowed up to this graph size.
-FULL_SWEEP_CEILING = 3**10
+# The face check refuses more support projections than this, C(n, m-1) * |support|;
+# mds_bitrade(8, "coset") needs 28 * 2**19.
+FACE_WORK_CEILING = 2**25
 
 CRITERIA = ("definition", "eigen", "dist2count", "delsarte", "mindist")
 
@@ -115,16 +115,13 @@ def definition_check(
     kind: str,
     t0: Iterable[Word],
     t1: Iterable[Word],
-    *,
-    full_sweep: bool = False,
 ) -> VerificationReport:
     """Counting definition: every vertex sees equal part counts, at most 1 each.
 
     The spherical count of a vertex is over its sphere, the perfect count
-    over its ball.  By default only vertices whose counts can be nonzero
-    are visited (the supports and their neighbourhoods); ``full_sweep``
-    visits all q^n vertices instead, which is allowed up to 3**10 of them;
-    the vertices it adds count (0, 0) and pass.
+    over its ball.  Only vertices whose counts can be nonzero are visited
+    (the supports and their neighbourhoods); every other vertex counts
+    (0, 0) and passes.
     """
     if kind not in (SPHERICAL, PERFECT):
         raise ValueError(f"kind must be 'spherical' or 'perfect', got {kind!r}")
@@ -133,11 +130,6 @@ def definition_check(
         raise ValueError("parts must be disjoint")
     params.check_words(set0)
     params.check_words(set1)
-    if full_sweep and params.vertex_count > FULL_SWEEP_CEILING:
-        raise ValueError(
-            f"full sweep over {params.vertex_count} vertices refused; "
-            f"the ceiling is 3**10"
-        )
 
     index = VertexIndex(params)
     hood = index.ball if kind == PERFECT else index.sphere
@@ -154,23 +146,21 @@ def definition_check(
             if c0 != c1 or c0 > 1:
                 failures.append((index.decode(x), c0, c1))
 
-    checked = params.vertex_count if full_sweep else len(touched)
-    details = {"mode": "full" if full_sweep else "closure", "vertices_checked": checked}
-    return _report("definition", failures, details)
+    return _report("definition", failures, {"vertices_checked": len(touched)})
 
 
-def verify_spherical(b: Bitrade, *, full_sweep: bool = False) -> VerificationReport:
+def verify_spherical(b: Bitrade) -> VerificationReport:
     """Apply the counting definition to a spherical bitrade candidate."""
     if b.kind != SPHERICAL:
         raise ValueError(f"expected a spherical bitrade, got kind {b.kind!r}")
-    return definition_check(b.params, SPHERICAL, b.t0, b.t1, full_sweep=full_sweep)
+    return definition_check(b.params, SPHERICAL, b.t0, b.t1)
 
 
-def verify_perfect(b: Bitrade, *, full_sweep: bool = False) -> VerificationReport:
+def verify_perfect(b: Bitrade) -> VerificationReport:
     """Apply the counting definition to a perfect bitrade candidate."""
     if b.kind != PERFECT:
         raise ValueError(f"expected a perfect bitrade, got kind {b.kind!r}")
-    return definition_check(b.params, PERFECT, b.t0, b.t1, full_sweep=full_sweep)
+    return definition_check(b.params, PERFECT, b.t0, b.t1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,76 +292,46 @@ def bitrade_delsarte_order(b: Bitrade) -> int:
     return delsarte_order(b.params, 0 if b.kind == SPHERICAL else -1)
 
 
-def delsarte_face_check(
-    f: SignedFunction,
-    m: int,
-    sample_budget: int = 10**6,
-    *,
-    seed: int = 0,
-) -> VerificationReport:
+def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
     """Face sums of an alleged (n(q-1) - mq)-eigenfunction.
 
     Over every face with exactly m-1 fixed positions, such a function must
     sum to zero, and must take at least two nonzero values unless it is
-    zero on the whole face.  When the number of faces is at most
-    ``sample_budget`` they are all checked (one projection of the support
-    per set of fixed positions; untouched faces pass implicitly);
-    otherwise a seeded uniform sample of faces is checked, sized so the
-    total work stays near the budget.
+    zero on the whole face.  Every face is checked: one projection of the
+    support per set of fixed positions, and faces the support misses pass.
+    More than FACE_WORK_CEILING projections (C(n, m-1) * |support|) are
+    refused with ValueError.
     """
     n, q = f.params.n, f.params.q
     if not isinstance(m, int) or not 1 <= m <= n + 1:
         raise ValueError(f"face-sum order m must be in 1..{n + 1}, got {m!r}")
     k = m - 1
-    faces_total = math.comb(n, k) * q**k
+    work = math.comb(n, k) * max(1, len(f.values))
+    if work > FACE_WORK_CEILING:
+        raise ValueError(
+            f"face check of C({n}, {k}) position sets over {len(f.values)} words "
+            f"refused; the ceiling is {FACE_WORK_CEILING} projections"
+        )
+    plus, minus = f.parts()
     failures: list[tuple] = []
-
-    if faces_total <= sample_budget:
-        # one projection per position set; faces the support misses pass
-        plus, minus = f.parts()
-        faces_with_support = 0
-        for positions in combinations(range(n), k):
-            get = itemgetter(*positions) if k > 1 else lambda w: tuple(w[i] for i in positions)
-            up, down = Counter(map(get, plus)), Counter(map(get, minus))
-            faces = up.keys() | down.keys()
-            faces_with_support += len(faces)
-            if dict.__eq__(up, down):
-                continue
-            for symbols in faces:
-                a, b = up.get(symbols, 0), down.get(symbols, 0)
-                # a lone nonzero value makes the sum nonzero too
-                if a != b:
-                    fixed = tuple((p + 1, s) for p, s in zip(positions, symbols))
-                    failures.append(("zero_sum", fixed, a - b))
-                    if a + b == 1:
-                        failures.append(("support", fixed, 1))
-        details = {
-            "mode": "exhaustive",
-            "faces_total": faces_total,
-            "faces_with_support": faces_with_support,
-        }
-    else:
-        rng = random.Random(seed)
-        support = list(f.values.items())
-        checked = max(1, min(faces_total, sample_budget // max(1, len(support))))
-        for _ in range(checked):
-            positions = tuple(sorted(rng.sample(range(n), k)))
-            symbols = tuple(rng.randrange(q) for _ in positions)
-            total = nonzeros = 0
-            for w, v in support:
-                if all(w[p] == s for p, s in zip(positions, symbols)):
-                    total += v
-                    nonzeros += 1
-            fixed = tuple((p + 1, s) for p, s in zip(positions, symbols))
-            if total != 0:
-                failures.append(("zero_sum", fixed, total))
-            if nonzeros == 1:
-                failures.append(("support", fixed, nonzeros))
-        details = {
-            "mode": "sampled",
-            "faces_total": faces_total,
-            "faces_checked": checked,
-            "seed": seed,
-        }
-
+    faces_with_support = 0
+    for positions in combinations(range(n), k):
+        get = itemgetter(*positions) if k > 1 else lambda w: tuple(w[i] for i in positions)
+        up, down = Counter(map(get, plus)), Counter(map(get, minus))
+        faces = up.keys() | down.keys()
+        faces_with_support += len(faces)
+        if dict.__eq__(up, down):
+            continue
+        for symbols in faces:
+            a, b = up.get(symbols, 0), down.get(symbols, 0)
+            # a lone nonzero value makes the sum nonzero too
+            if a != b:
+                fixed = tuple((p + 1, s) for p, s in zip(positions, symbols))
+                failures.append(("zero_sum", fixed, a - b))
+                if a + b == 1:
+                    failures.append(("support", fixed, 1))
+    details = {
+        "faces_total": math.comb(n, k) * q**k,
+        "faces_with_support": faces_with_support,
+    }
     return _report("delsarte", failures, details)

@@ -5,13 +5,16 @@ import random
 from bitrades import (
     Bitrade,
     HammingParams,
+    PERFECT,
     SPHERICAL,
     SignedFunction,
+    all_words,
     bitrade_delsarte_order,
     definition_check,
     delsarte_face_check,
     dist2_pair_check,
     eigen_check,
+    hamming_distance,
     min_distance_check,
 )
 
@@ -47,6 +50,21 @@ def corrupt(bitrade: Bitrade, rng: random.Random) -> tuple[str, Bitrade]:
     return op, Bitrade(
         bitrade.params, bitrade.kind, frozenset(parts[0]), frozenset(parts[1])
     )
+
+
+def brute_failures(params, kind, t0, t1) -> list[tuple]:
+    """The counting definition swept over every vertex, from hamming_distance alone.
+
+    Returns the (vertex, count0, count1) triples of the failing vertices in
+    lexicographic order: the witnesses definition_check should report.
+    """
+    radius = 0 if kind == PERFECT else 1
+    failures = []
+    for x in all_words(params):
+        c0, c1 = (sum(radius <= hamming_distance(x, w) <= 1 for w in part) for part in (t0, t1))
+        if c0 != c1 or c0 > 1:
+            failures.append((x, c0, c1))
+    return failures
 
 
 def run_all_checks(bitrade: Bitrade) -> dict:

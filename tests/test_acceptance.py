@@ -10,7 +10,14 @@ import random
 import time
 import zlib
 
-from helpers import characterization_votes, corrupt, random_pair, run_all_checks, translate_parts
+from helpers import (
+    brute_failures,
+    characterization_votes,
+    corrupt,
+    random_pair,
+    run_all_checks,
+    translate_parts,
+)
 from bitrades import (
     HammingParams,
     PERFECT,
@@ -25,6 +32,7 @@ from bitrades import (
     tensor_combine,
     tensor_power,
 )
+from bitrades.verify import WITNESS_LIMIT
 
 
 def report(capfd, criterion: str, problems: list[str], detail: str) -> None:
@@ -240,20 +248,14 @@ def test_criterion_5_exhaustive_minimum_h43(capfd):
             f"upper bound 5: proven={empty.proven_minimum}, best={empty.best}"
         )
     if best.best is not None:
-        b = best.best
-        closure = definition_check(b.params, b.kind, b.t0, b.t1)
-        swept = definition_check(b.params, b.kind, b.t0, b.t1, full_sweep=True)
-        if (closure.passed, closure.witnesses) != (swept.passed, swept.witnesses):
-            problems.append("closure and full-sweep verdicts disagree on the witness")
         rng = random.Random(43)
-        for _ in range(10):
-            _, broken = corrupt(b, rng)
-            closure = definition_check(broken.params, broken.kind, broken.t0, broken.t1)
-            swept = definition_check(
-                broken.params, broken.kind, broken.t0, broken.t1, full_sweep=True
-            )
-            if (closure.passed, closure.witnesses) != (swept.passed, swept.witnesses):
-                problems.append("closure and full-sweep disagree on a corruption")
+        candidates = [best.best] + [corrupt(best.best, rng)[1] for _ in range(10)]
+        for c in candidates:
+            args = (c.params, c.kind, c.t0, c.t1)
+            closure, swept = definition_check(*args), brute_failures(*args)
+            expected = (len(swept), tuple(swept[:WITNESS_LIMIT]))
+            if (closure.failure_count, closure.witnesses) != expected:
+                problems.append("closure and full sweep disagree on the witness or a corruption")
                 break
     elapsed = time.perf_counter() - started
     if elapsed >= 600.0:

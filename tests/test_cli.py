@@ -151,6 +151,12 @@ def test_search_local_mode_refuses_upper_bound(capsys):
     assert "volume_upper_bound is not used in local mode" in err
 
 
+def test_search_exhaustive_mode_refuses_seed(capsys):
+    assert main(["search", "--n", "4", "--q", "3", "--seed", "3"]) == 2
+    _, err = capsys.readouterr()
+    assert "seed is not used in exhaustive mode" in err
+
+
 def test_search_local_mode(capsys):
     code = main([
         "search", "--n", "3", "--q", "3", "--mode", "local", "--budget", "5",

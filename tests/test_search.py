@@ -201,6 +201,8 @@ def test_seeded_walk_is_pinned():
     ("local", "volume_upper_bound", 4),
     ("exhaustive", "move_budget", 100),
     ("exhaustive", "start", alt_bitrade(3)),
+    ("exhaustive", "seed", 3),
+    ("local", "symmetry_breaking", False),
 ])
 def test_knobs_the_mode_ignores_are_refused(mode, knob, value):
     with pytest.raises(ValueError, match=f"{knob} is not used in {mode} mode"):

@@ -1,11 +1,18 @@
 """Verification checks, cross-validated against a dense adjacency matrix."""
 
 import random
+import time
 
 import numpy
 import pytest
 
-from helpers import characterization_votes, corrupt, random_pair, run_all_checks
+from helpers import (
+    brute_failures,
+    characterization_votes,
+    corrupt,
+    random_pair,
+    run_all_checks,
+)
 from bitrades import (
     Bitrade,
     HammingParams,
@@ -25,13 +32,14 @@ from bitrades import (
     mds_bitrade,
     min_distance_check,
     tensor_combine,
+    tensor_power,
     verify_perfect,
     verify_spherical,
 )
 from bitrades.fields import build_field
 from bitrades.hamming import all_words, hamming_distance
 from bitrades.linear import ParityCheckCode
-from bitrades.verify import FULL_SWEEP_CEILING, WITNESS_LIMIT
+from bitrades.verify import WITNESS_LIMIT
 
 
 def adjacency(params):
@@ -110,24 +118,6 @@ def test_eigen_check_warns_off_spectrum():
         eigen_check(f, 1)
 
 
-def brute_counts(params, kind, t0, t1):
-    """Reference sphere/ball counts computed only from hamming_distance."""
-    radius_zero_counts = kind == PERFECT
-    bad = []
-    for x in all_words(params):
-        c0 = sum(
-            hamming_distance(x, w) == 1 or (radius_zero_counts and x == w)
-            for w in t0
-        )
-        c1 = sum(
-            hamming_distance(x, w) == 1 or (radius_zero_counts and x == w)
-            for w in t1
-        )
-        if c0 != c1 or c0 > 1:
-            bad.append(x)
-    return bad
-
-
 @pytest.mark.parametrize("n,q,kind", [(3, 3, SPHERICAL), (4, 3, PERFECT)])
 def test_definition_check_matches_brute_force(n, q, kind):
     params = HammingParams(n, q)
@@ -139,34 +129,31 @@ def test_definition_check_matches_brute_force(n, q, kind):
         b = lift_to_perfect(alt_bitrade(3))
     pairs.append((b.t0, b.t1))
     for t0, t1 in pairs:
-        expected_bad = brute_counts(params, kind, t0, t1)
+        expected_bad = brute_failures(params, kind, t0, t1)
         closure = definition_check(params, kind, t0, t1)
-        swept = definition_check(params, kind, t0, t1, full_sweep=True)
-        assert closure.passed == swept.passed == (not expected_bad)
-        assert closure.failure_count == swept.failure_count == len(expected_bad)
-        assert closure.witnesses == swept.witnesses
-        if expected_bad:
-            # witnesses are (vertex, count0, count1) triples in vertex order
-            vertices = [w[0] for w in closure.witnesses]
-            assert vertices == sorted(expected_bad)[:WITNESS_LIMIT]
+        assert closure.passed == (not expected_bad)
+        assert closure.failure_count == len(expected_bad)
+        # witnesses are (vertex, count0, count1) triples in vertex order
+        assert closure.witnesses == tuple(expected_bad[:WITNESS_LIMIT])
 
 
 def test_definition_check_modes_and_details():
+    # only the support's spheres are visited
     b = alt_bitrade(3)
-    closure = definition_check(b.params, b.kind, b.t0, b.t1)
-    swept = definition_check(b.params, b.kind, b.t0, b.t1, full_sweep=True)
-    assert closure.details["mode"] == "closure"
-    assert swept.details["mode"] == "full"
-    assert closure.details["vertices_checked"] <= swept.details["vertices_checked"] == 27
+    report = definition_check(b.params, b.kind, b.t0, b.t1)
+    support = b.t0 | b.t1
+    near = [x for x in all_words(b.params) if any(hamming_distance(x, w) == 1 for w in support)]
+    assert report.details == {"vertices_checked": len(near)}
+    assert len(near) < b.params.vertex_count
 
 
 def test_full_sweep_ceiling():
+    # the closure visits only the support's neighbourhood, so no graph is too large
     params = HammingParams(13, 3)
-    assert params.vertex_count > FULL_SWEEP_CEILING
-    with pytest.raises(ValueError, match="full sweep"):
-        definition_check(params, PERFECT, frozenset(), frozenset(), full_sweep=True)
-    # the closure mode only visits the support's neighbourhood
-    assert definition_check(params, PERFECT, frozenset(), frozenset()).passed
+    assert params.vertex_count > 3**10
+    report = definition_check(params, PERFECT, frozenset(), frozenset())
+    assert report.passed
+    assert report.details["vertices_checked"] == 0
 
 
 def test_verify_wrappers_check_kind():
@@ -263,7 +250,6 @@ def test_delsarte_exhaustive_pass():
     b = lift_to_perfect(alt_bitrade(3))
     report = delsarte_face_check(SignedFunction.from_bitrade(b), 3)
     assert report.passed
-    assert report.details["mode"] == "exhaustive"
     assert report.details["faces_total"] == 54
     assert report.details["faces_with_support"] == 36
 
@@ -290,15 +276,34 @@ def test_delsarte_fails_on_moved_word():
     assert not delsarte_face_check(f, 3).passed
 
 
-def test_delsarte_sampled_mode_deterministic():
-    t = tensor_combine(alt_bitrade(3), alt_bitrade(3))
-    f = SignedFunction.from_bitrade(t)
-    m = bitrade_delsarte_order(t)
-    first = delsarte_face_check(f, m, sample_budget=20, seed=9)
-    second = delsarte_face_check(f, m, sample_budget=20, seed=9)
-    assert first.details["mode"] == "sampled"
-    assert first.passed and second.passed
-    assert first.details == second.details
+def test_delsarte_rejects_a_corruption_a_face_sample_passed():
+    # a sample of 24 of alt8's faces once passed this corruption
+    op, bad = corrupt(alt_bitrade(8), random.Random(1))
+    report = delsarte_face_check(SignedFunction.from_bitrade(bad), 7)
+    assert not report.passed, op
+
+
+@pytest.mark.parametrize("make", [
+    lambda: alt_bitrade(8),
+    lambda: tensor_power(alt_bitrade(5), 2),
+    lambda: lift_to_perfect(tensor_power(alt_bitrade(3), 4)),
+], ids=["alt8", "tensor-alt5-squared", "lift-tensor-alt3-fourth"])
+def test_delsarte_passes_large_bitrades(make):
+    bitrade = make()
+    f = SignedFunction.from_bitrade(bitrade)
+    report = delsarte_face_check(f, bitrade_delsarte_order(bitrade))
+    assert report.passed
+    assert report.details["faces_with_support"] > 0
+
+
+def test_delsarte_refuses_oversized_work():
+    # C(40, 19) position sets: about 1.3e11 projections even for two words
+    params = HammingParams(40, 2)
+    f = SignedFunction(params, {(0,) * 40: 1, (1,) * 40: -1})
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="ceiling"):
+        delsarte_face_check(f, delsarte_order(params, 0))
+    assert time.perf_counter() - started < 0.5
 
 
 def test_signed_function_validation():
