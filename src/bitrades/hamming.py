@@ -21,6 +21,13 @@ Word = tuple[int, ...]
 ENUMERATION_CEILING = 2**48
 
 
+def power_text(value: int) -> str:
+    """A ceiling for a refusal message: "3**10" for 59049, plain digits if not a prime power."""
+    base = next((b for b in range(2, math.isqrt(value) + 1) if value % b == 0), value)
+    exponent = round(math.log(value, base))
+    return f"{base}**{exponent}" if exponent > 1 and base**exponent == value else str(value)
+
+
 @dataclass(frozen=True, slots=True)
 class HammingParams:
     """Parameters (n, q) of the Hamming graph H(n, q)."""
@@ -255,6 +262,7 @@ def all_words(params: HammingParams) -> Iterator[Word]:
     """Yield every vertex of H(n, q) in lexicographic order."""
     if params.vertex_count > ENUMERATION_CEILING:
         raise ValueError(
-            f"refusing to enumerate {params.q}**{params.n} words; the ceiling is 2**48"
+            f"refusing to enumerate {params.q}**{params.n} words; "
+            f"the ceiling is {power_text(ENUMERATION_CEILING)}"
         )
     return iter(itertools.product(range(params.q), repeat=params.n))

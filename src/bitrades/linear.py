@@ -8,7 +8,7 @@ from itertools import chain
 from operator import getitem, itemgetter
 
 from .fields import FieldTable
-from .hamming import ENUMERATION_CEILING, Code, HammingParams, Word, min_distance
+from .hamming import ENUMERATION_CEILING, Code, HammingParams, Word, min_distance, power_text
 
 
 class ParityCheckCode:
@@ -94,7 +94,8 @@ class ParityCheckCode:
         """
         if self.size() > ENUMERATION_CEILING:
             raise ValueError(
-                f"refusing to enumerate {self.size()} codewords; the ceiling is 2**48"
+                f"refusing to enumerate {self.size()} codewords; "
+                f"the ceiling is {power_text(ENUMERATION_CEILING)}"
             )
         f, rows = self.field, self._reduced
         free = [i for i in range(self.n) if i not in self._pivots]
