@@ -182,9 +182,8 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
                 f"the coset shift {shift!r} lies in the base code, so the translate "
                 f"coincides with it and the trade would be empty"
             )
-        t0 = frozenset(base.words())
-        t1 = coset(field, base, shift).words
-        return Bitrade(params, SPHERICAL, t0, t1)
+        code = base.to_code()
+        return Bitrade(params, SPHERICAL, code.words, coset(field, code, shift).words)
 
     raise ValueError(f"unknown variant {variant!r}: expected 'swap' or 'coset'")
 

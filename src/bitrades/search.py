@@ -21,8 +21,10 @@ Vertices are numbered 0..q^n-1 (first coordinate most significant).  Each
 part keeps the vertices it covers and the words it may still take as
 bitmasks, so counting a vertex's candidates is one AND and one popcount.
 
-The local engine is a tabu walk over add/remove/move word moves scoring
-the number of violated vertices; it proves nothing and is best-effort.
+The local engine is a best-effort tabu walk scoring the number of violated
+vertices; it proves nothing.  A move (w, src, dst) takes word w from side
+src to side dst, a side being 0, 1 or None for neither part: adding is
+(w, None, s), removing (w, s, None) and moving (w, s, 1 - s); (w, dst, src) undoes it.
 """
 
 from __future__ import annotations
@@ -346,30 +348,28 @@ def _exhaustive(config: SearchConfig, kind: str) -> SearchResult:
                 break
     finally:
         sys.setrecursionlimit(old_limit)
+    return _result(regions, engine.best, not engine.exhausted, engine.nodes, started)
+
+
+def _result(
+    regions: _Regions, best_ids: tuple[tuple[int, ...], tuple[int, ...]] | None,
+    proven: bool, nodes: int, started: float,
+) -> SearchResult:
+    """Both engines' exit: decode the best id pair, self-check it and wrap it."""
     wall = time.perf_counter() - started
-
     best = None
-    if engine.best is not None:
-        t0 = frozenset(map(regions.index.decode, engine.best[0]))
-        t1 = frozenset(map(regions.index.decode, engine.best[1]))
-        best = Bitrade(params, kind, t0, t1)
-        _check_result(best)
-    return SearchResult(
-        best=best,
-        proven_minimum=not engine.exhausted,
-        nodes_explored=engine.nodes,
-        wall_time=wall,
-    )
-
-
-def _check_result(b: Bitrade) -> None:
-    report = definition_check(b.params, b.kind, b.t0, b.t1)
-    if not report.passed:
-        raise RuntimeError("internal error: search produced an invalid bitrade")
+    if best_ids is not None:
+        t0, t1 = (frozenset(map(regions.index.decode, ids)) for ids in best_ids)
+        best = Bitrade(regions.params, regions.kind, t0, t1)
+        if not definition_check(best.params, best.kind, best.t0, best.t1).passed:
+            raise RuntimeError("internal error: search produced an invalid bitrade")
+    return SearchResult(best, proven, nodes, wall)
 
 
 # ---------------------------------------------------------------------------
 # local search
+
+_Move = tuple[int, int | None, int | None]  # (w, src, dst), as the module docstring sets out
 
 
 class _LocalState:
@@ -410,9 +410,14 @@ class _LocalState:
             else:
                 self.violated.add(y)
 
-    def scored_moves(
-        self, x: int, pinned: set[int]
-    ) -> list[tuple[int, tuple[str, int, int]]]:
+    def apply(self, move: _Move) -> None:
+        w, src, dst = move
+        if src is not None:
+            self.toggle(w, src, False)
+        if dst is not None:
+            self.toggle(w, dst, True)
+
+    def scored_moves(self, x: int, pinned: set[int]) -> list[tuple[int, _Move]]:
         """Every move around x with the objective it would leave, in order.
 
         Each word of x's neighbourhood yields two moves: add to side 0 and
@@ -429,7 +434,7 @@ class _LocalState:
         part0, part1 = self.parts
         base = len(self.violated)
         ids = self.regions.ids
-        scored: list[tuple[int, tuple[str, int, int]]] = []
+        scored: list[tuple[int, _Move]] = []
         for w in ids(x):
             if w in part0 or w in part1:
                 if w in pinned:
@@ -445,8 +450,8 @@ class _LocalState:
                     was = a != b or a > 1
                     dr += (a - 1 != b or a > 2) - was
                     dm += (a != b + 2 or a > 2) - was
-                scored.append((base + dr, ("remove", w, side)))
-                scored.append((base + dm, ("move", w, side)))
+                scored.append((base + dr, (w, side, None)))
+                scored.append((base + dm, (w, side, 1 - side)))
             else:
                 # add to 0: (a + 1, b); add to 1: (a, b + 1)
                 d0 = d1 = 0
@@ -456,29 +461,9 @@ class _LocalState:
                     was = a != b or a > 1
                     d0 += (a + 1 != b or a > 0) - was
                     d1 += (b + 1 != a or b > 0) - was
-                scored.append((base + d0, ("add", w, 0)))
-                scored.append((base + d1, ("add", w, 1)))
+                scored.append((base + d0, (w, None, 0)))
+                scored.append((base + d1, (w, None, 1)))
         return scored
-
-
-def _apply_move(state: _LocalState, move: tuple[str, int, int]) -> None:
-    op, w, side = move
-    if op == "add":
-        state.toggle(w, side, True)
-    elif op == "remove":
-        state.toggle(w, side, False)
-    else:
-        state.toggle(w, side, False)
-        state.toggle(w, 1 - side, True)
-
-
-def _inverse_key(move: tuple[str, int, int]) -> tuple[str, int, int]:
-    op, w, side = move
-    if op == "add":
-        return ("remove", w, side)
-    if op == "remove":
-        return ("add", w, side)
-    return ("move", w, 1 - side)
 
 
 def _local(config: SearchConfig, kind: str) -> SearchResult:
@@ -493,29 +478,26 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
     deadline = time.monotonic() + budget
 
     state = _LocalState(regions)
-    tabu: deque[tuple[str, int, int]] = deque(maxlen=TABU_LENGTH)
+    tabu: deque[_Move] = deque(maxlen=TABU_LENGTH)
     pinned: set[int] = set()
     best_ids: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     moves = 0
     stagnation = 0
     restart_best = 0
-    first_restart = True
 
-    def restart() -> None:
-        nonlocal stagnation, restart_best, first_restart
+    def restart(start: Bitrade | None = None) -> None:
+        nonlocal stagnation, restart_best
         state.clear()
         tabu.clear()
         pinned.clear()
         stagnation = 0
-        if first_restart and config.start is not None:
-            first_restart = False
-            for side, words in ((0, config.start.t0), (1, config.start.t1)):
+        if start is not None:
+            for side, words in ((0, start.t0), (1, start.t1)):
                 for word in words:
                     state.toggle(regions.index.encode(word), side, True)
             if state.parts[0]:
                 pinned.add(min(state.parts[0]))
         else:
-            first_restart = False
             a = rng.randrange(total)
             b = rng.randrange(total)
             while b == a:
@@ -526,7 +508,7 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
         restart_best = state.objective()
 
     started = time.perf_counter()
-    restart()
+    restart(config.start)
     while time.monotonic() <= deadline:
         if config.move_budget is not None and moves >= config.move_budget:
             break
@@ -542,17 +524,14 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
             continue
         x = rng.choice(sorted(state.violated))
         scored = state.scored_moves(x, pinned)
-        if not scored:
-            restart()
-            continue
         barred = set(tabu)
         open_moves = [sm for sm in scored if sm[1] not in barred or sm[0] < restart_best]
         if not open_moves:
             open_moves = scored
         low = min(score for score, _ in open_moves)
-        chosen = rng.choice([mv for score, mv in open_moves if score == low])
-        _apply_move(state, chosen)
-        tabu.append(_inverse_key(chosen))
+        w, src, dst = rng.choice([mv for score, mv in open_moves if score == low])
+        state.apply((w, src, dst))
+        tabu.append((w, dst, src))
         moves += 1
         if state.objective() < restart_best:
             restart_best = state.objective()
@@ -561,17 +540,4 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
             stagnation += 1
             if stagnation > STAGNATION_LIMIT:
                 restart()
-    wall = time.perf_counter() - started
-
-    best = None
-    if best_ids is not None:
-        t0 = frozenset(map(regions.index.decode, best_ids[0]))
-        t1 = frozenset(map(regions.index.decode, best_ids[1]))
-        best = Bitrade(params, kind, t0, t1)
-        _check_result(best)
-    return SearchResult(
-        best=best,
-        proven_minimum=False,
-        nodes_explored=moves,
-        wall_time=wall,
-    )
+    return _result(regions, best_ids, False, moves, started)

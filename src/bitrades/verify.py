@@ -84,8 +84,8 @@ class SignedFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", dict(self.values))
+        self.params.check_words(self.values)
         for w, v in self.values.items():
-            self.params.check_word(w)
             if v not in (1, -1):
                 raise ValueError(f"value at {w!r} must be +1 or -1, got {v!r}")
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -98,6 +99,29 @@ def test_budgeted_search_returns_an_early_incumbent():
     assert not result.proven_minimum
     assert result.volume == lift_to_perfect(tensor_power(alt_bitrade(3), 2)).volume == 36
     assert verify_perfect(result.best).passed
+
+
+def test_deep_search_raises_the_recursion_limit_and_restores_it(monkeypatch):
+    real = sys.setrecursionlimit
+    seen = []
+
+    def spy(limit):
+        seen.append(limit)
+        real(limit)
+
+    old = sys.getrecursionlimit()
+    real(300)
+    try:
+        monkeypatch.setattr(search_module.sys, "setrecursionlimit", spy)
+        # 2 * (2187 // 15) + 100 = 390 levels for the volumes H(7, 3) allows
+        result = min_perfect_volume(SearchConfig(HammingParams(7, 3), time_budget=2.0))
+        after = sys.getrecursionlimit()
+    finally:
+        real(old)
+    assert result.volume == 36
+    assert verify_perfect(result.best).passed
+    assert seen == [390, 300]
+    assert after == 300
 
 
 def test_parameter_feasibility_errors():
@@ -306,14 +330,14 @@ def _recounted_moves(parts, x, pinned, hood):
                 continue
             side = 0 if w in parts[0] else 1
             after[side].remove(w)
-            out.append((_violated(after, hood), ("remove", w, side)))
+            out.append((_violated(after, hood), (w, side, None)))
             after[1 - side].add(w)
-            out.append((_violated(after, hood), ("move", w, side)))
+            out.append((_violated(after, hood), (w, side, 1 - side)))
         else:
             for side in (0, 1):
                 after = [set(parts[0]), set(parts[1])]
                 after[side].add(w)
-                out.append((_violated(after, hood), ("add", w, side)))
+                out.append((_violated(after, hood), (w, None, side)))
     return out
 
 
@@ -358,3 +382,36 @@ def test_move_scores_equal_a_recount(kind, n, q):
         assert parts == state.parts
         assert state.objective() == _violated(parts, hood)
     assert seen_double and seen_pinned
+
+
+@pytest.mark.parametrize("kind,n,q", [
+    (SPHERICAL, 3, 3), (SPHERICAL, 5, 5), (PERFECT, 4, 3), (PERFECT, 7, 3),
+])
+def test_tabu_key_undoes_its_move(kind, n, q):
+    regions = search_module._Regions(HammingParams(n, q), kind)
+
+    def snapshot(state):
+        counts = tuple(dict(c) for c in state.counts)
+        return counts, tuple(set(p) for p in state.parts), set(state.violated)
+
+    undone = 0
+    seen_double = False
+    for seed in range(3):
+        rng = random.Random(1000 * n + 10 * q + seed)
+        state = search_module._LocalState(regions)
+        centres = [rng.randrange(q**n) for _ in range(3)]
+        # random moves near a few centres, so counts pile above 1
+        for _ in range(40):
+            x = rng.choice(regions.ids(rng.choice(centres)))
+            state.apply(rng.choice(state.scored_moves(x, set()))[1])
+        seen_double |= any(c > 1 for side in (0, 1) for c in state.counts[side].values())
+        before = snapshot(state)
+        xs = rng.sample(sorted(state.violated), min(12, len(state.violated)))
+        xs += [rng.randrange(q**n) for _ in range(4)]
+        for x in xs:
+            for _, (w, src, dst) in state.scored_moves(x, set()):
+                state.apply((w, src, dst))
+                state.apply((w, dst, src))
+                assert snapshot(state) == before
+                undone += 1
+    assert undone and seen_double
