@@ -17,7 +17,7 @@ from .construct import (
     tensor_combine,
     tensor_power,
 )
-from .fields import FieldSpec, FieldTable, build_field
+from .fields import FieldTable, build_field
 from .hamming import (
     Code,
     HammingParams,
@@ -67,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bitrade",
     "Code",
-    "FieldSpec",
     "FieldTable",
     "FORMAT_VERSION",
     "HammingParams",

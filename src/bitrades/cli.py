@@ -90,6 +90,8 @@ def _build(args: argparse.Namespace) -> Bitrade:
         raise ValueError("--variant applies only to the mds construction")
     if args.r != 1 and args.construction in ("alt", "mds"):
         raise ValueError("--r applies only to the tensor and lift constructions")
+    if args.r < 1:
+        raise ValueError(f"--r must be at least 1, got {args.r}")
     if args.construction == "alt":
         return alt_bitrade(args.q)
     if args.construction == "mds":
@@ -194,10 +196,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fmt_distance(d: float) -> str:
-    return str(d) if d != float("inf") else "inf"
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     b = load_bitrade(args.path)
     c0 = Code(b.params, b.t0)
@@ -207,9 +205,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"volume {b.volume}")
     else:
         print(f"part sizes {len(b.t0)} and {len(b.t1)} (not a bitrade)")
-    print(f"min distance t0: {_fmt_distance(min_distance(c0))}")
-    print(f"min distance t1: {_fmt_distance(min_distance(c1))}")
-    print(f"d(t0, t1): {_fmt_distance(code_distance(c0, c1))}")
+    print(f"min distance t0: {min_distance(c0)}")
+    print(f"min distance t1: {min_distance(c1)}")
+    print(f"d(t0, t1): {code_distance(c0, c1)}")
     return 0
 
 

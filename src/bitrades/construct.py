@@ -140,11 +140,14 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
 
     Both parts sit inside the sum-zero code.  The swap variant takes the
     two distance-3 codes whose weight rows differ by transposing the first
-    two weights and keeps the words unique to each part: q^(q-2) - q^(q-3)
-    words per part for q >= 4.  For q = 3 it raises ValueError: both codes
-    are the repetition code, so no words are unique to either part.  The coset
-    variant pairs one distance-3 code with a translate of itself by a
-    sum-zero shift outside the code: q^(q-2) words per part.
+    two weights and keeps the words unique to each part.  Swapping
+    coordinates 0 and 1 maps one code onto the other, so t0 is the base
+    words with w[0] != w[1] and t1 their images under that swap:
+    q^(q-2) - q^(q-3) words per part for q >= 4.  For q = 3 it raises
+    ValueError: both codes are the repetition code, so no words are unique
+    to either part.  The coset variant pairs one distance-3 code with a
+    translate of itself by a sum-zero shift outside the code: q^(q-2)
+    words per part.
     """
     if not isinstance(q, int) or q < 3:
         raise ValueError(f"the weighted-check bitrade needs an integer q >= 3, got {q!r}")
@@ -155,11 +158,8 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
     if variant == "swap":
         if shift is not None:
             raise ValueError("shift only applies to the coset variant")
-        weights = list(range(q))
-        weights[0], weights[1] = weights[1], weights[0]
-        other = rs_mds_code(field, q, tuple(weights))
-        w0, w1 = set(base.words()), set(other.words())
-        t0, t1 = w0 - w1, w1 - w0
+        t0 = [w for w in base.words() if w[0] != w[1]]
+        t1 = [(w[1], w[0]) + w[2:] for w in t0]
         if not t0:
             raise ValueError(
                 f"the swap variant degenerates for q = {q}: both weight rows span "

@@ -7,9 +7,11 @@ smallest monic irreducible polynomial of degree k, comparing coefficient
 tuples constant term first.  Every choice here is forced, so two builds of
 the same field produce bit-identical tables.
 
-Every field gets dense q-by-q addition and multiplication tables.  The
-ceiling of 512 keeps them small; no construction comes near it, since
-mds_bitrade(q) already enumerates q^(q-2) words.
+Every field gets dense q-by-q addition and multiplication tables, both
+built by one recurrence on base-p digits (Horner's rule): an element a is
+x * (a // p) + (a % p), so row a of either table follows from rows
+already built.  The ceiling of 512 keeps the tables small; no construction
+comes near it, since mds_bitrade(q) already enumerates q^(q-2) words.
 """
 
 from __future__ import annotations
@@ -17,19 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 FIELD_SIZE_LIMIT = 512
-
-
-@dataclass(frozen=True, slots=True)
-class FieldSpec:
-    """Size, characteristic, extension degree and modulus of one field."""
-
-    q: int
-    p: int
-    k: int
-    modulus: tuple[int, ...]  # monic, constant coefficient first, length k+1
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +43,6 @@ def _factorize(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def _prime_power(q: int) -> tuple[int, int] | None:
-    factors = _factorize(q)
-    if len(factors) == 1:
-        return factors[0]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # polynomials over GF(p), little-endian coefficient tuples
 
@@ -74,21 +58,6 @@ def _poly_rem(dividend: list[int], divisor: tuple[int, ...], p: int) -> list[int
                 rem[top - dd + i] = (rem[top - dd + i] - c * coef) % p
     del rem[dd:]
     return rem
-
-
-def _poly_mul_mod(
-    a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int
-) -> tuple[int, ...]:
-    k = len(modulus) - 1
-    prod = [0] * (2 * k - 1 if k > 1 else 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    rem = _poly_rem(prod, modulus, p)
-    rem.extend([0] * (k - len(rem)))
-    return tuple(rem)
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
@@ -112,98 +81,57 @@ def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
-def _digits(e: int, p: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(k):
-        out.append(e % p)
-        e //= p
-    return tuple(out)
-
-
-def _undigits(ds: Iterable[int], p: int) -> int:
-    total = 0
-    for d in reversed(list(ds)):
-        total = total * p + d
-    return total
-
-
-def _powers_of_primitive(spec: FieldSpec, digits: list[tuple[int, ...]]) -> list[int]:
-    """g^0, ..., g^(q-2) for the least primitive element g of GF(q)."""
-    for g in range(1, spec.q):
-        powers = [1]
-        x = g
-        while x != 1:
-            powers.append(x)
-            x = _undigits(_poly_mul_mod(digits[x], digits[g], spec.modulus, spec.p), spec.p)
-        if len(powers) == spec.q - 1:
-            return powers
-    raise AssertionError(f"GF({spec.q}) has no primitive element")
-
-
 # ---------------------------------------------------------------------------
 # the table object
 
 
 class FieldTable:
-    """Arithmetic for GF(q); elements are the ints 0..q-1.
+    """Arithmetic for GF(p^k) modulo a monic irreducible ``modulus``; elements are 0..q-1.
 
     0 and 1 are the additive and multiplicative identities.  All methods
     validate their operands; inv(0) raises ZeroDivisionError.  Tables are
     immutable once built: treat instances as shared read-only values.
     """
 
-    __slots__ = ("spec", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("q", "p", "k", "modulus", "_add", "_mul", "_neg", "_inv")
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        q, p, k = spec.q, spec.p, spec.k
-        digits = [_digits(e, p, k) for e in range(q)]
-
-        self._neg = tuple(
-            _undigits(((-d) % p for d in digits[e]), p) for e in range(q)
-        )
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        q = p**k
+        self.q, self.p, self.k = q, p, k
+        self.modulus = modulus  # monic, constant coefficient first, length k+1
 
         # Digitwise addition mod p: the low digit here, the rest from the
         # row of a // p, which is already built.
         add: list[tuple[int, ...]] = [tuple(range(q))]
         for a in range(1, q):
             low, high = a % p, add[a // p]
-            add.append(tuple((low + b % p) % p + p * high[b // p] for b in range(q)))
+            add.append(tuple([(low + b % p) % p + p * high[b // p] for b in range(q)]))
         self._add = tuple(add)
 
-        # a * b = g^(log a + log b) for a primitive element g.
-        exp = _powers_of_primitive(spec, digits)
-        log = [0] * q
-        for e, x in enumerate(exp):
-            log[x] = e
-        exp2 = exp + exp
-        logs = log[1:]
-        self._mul = ((0,) * q,) + tuple(
-            (0, *[exp2[log[a] + lb] for lb in logs]) for a in range(1, q)
-        )
+        # times_x[e] = x * e: shift e's digits up one place and fold the top
+        # digit c back in as c * x^k, where x^k = -(the modulus below x^k).
+        top = q // p
+        fold = [
+            sum((-c * m) % p * p**i for i, m in enumerate(modulus[:k])) for c in range(p)
+        ]
+        times_x = [add[e % top * p][fold[e // top]] for e in range(q)]
+
+        # Products by the same recurrence on a's digits: (a - 1) * b + b for
+        # a < p, and for a = h*p + l, x * (h * b) + l * b from rows h and l.
+        mul: list[tuple[int, ...]] = [(0,) * q]
+        for a in range(1, p):
+            mul.append(tuple([add[u][b] for b, u in enumerate(mul[a - 1])]))
+        for h in range(1, q // p):
+            shifted = [times_x[u] for u in mul[h]]
+            for low in mul[:p]:
+                mul.append(tuple([add[u][v] for u, v in zip(shifted, low)]))
+        self._mul = tuple(mul)
+        self._neg = tuple(row[p - 1] for row in mul)  # (p - 1) * a = -a
         self._inv = (0,) + tuple(self._mul[a].index(1) for a in range(1, q))
-
-    # -- properties ---------------------------------------------------------
-
-    @property
-    def q(self) -> int:
-        return self.spec.q
-
-    @property
-    def p(self) -> int:
-        return self.spec.p
-
-    @property
-    def k(self) -> int:
-        return self.spec.k
-
-    @property
-    def modulus(self) -> tuple[int, ...]:
-        return self.spec.modulus
 
     @property
     def elements(self) -> range:
-        return range(self.spec.q)
+        return range(self.q)
 
     def __repr__(self) -> str:
         return f"FieldTable(GF({self.q}))"
@@ -211,8 +139,8 @@ class FieldTable:
     # -- operations ---------------------------------------------------------
 
     def _check(self, a: int) -> None:
-        if not isinstance(a, int) or not 0 <= a < self.spec.q:
-            raise ValueError(f"{a!r} is not an element of GF({self.spec.q})")
+        if not isinstance(a, int) or not 0 <= a < self.q:
+            raise ValueError(f"{a!r} is not an element of GF({self.q})")
 
     def add(self, a: int, b: int) -> int:
         self._check(a)
@@ -235,7 +163,7 @@ class FieldTable:
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.spec.q})")
+            raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
         return self._inv[a]
 
     def sum(self, items: Iterable[int]) -> int:
@@ -256,14 +184,12 @@ def _build_field(q: int) -> FieldTable:
         raise ValueError(f"field size must be an integer >= 2, got {q!r}")
     if q > FIELD_SIZE_LIMIT:
         raise ValueError(f"field size {q} exceeds the supported limit {FIELD_SIZE_LIMIT}")
-    pp = _prime_power(q)
-    if pp is None:
-        text = " * ".join(
-            str(p) if e == 1 else f"{p}^{e}" for p, e in _factorize(q)
-        )
+    factors = _factorize(q)
+    if len(factors) != 1:
+        text = " * ".join(str(p) if e == 1 else f"{p}^{e}" for p, e in factors)
         raise ValueError(f"q = {q} = {text} is not a prime power")
-    p, k = pp
-    return FieldTable(FieldSpec(q=q, p=p, k=k, modulus=_smallest_modulus(p, k)))
+    [(p, k)] = factors
+    return FieldTable(p, k, _smallest_modulus(p, k))
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from operator import getitem, itemgetter, mul, ne
 
@@ -68,6 +68,8 @@ class HammingParams:
     def check_words(self, words: Iterable[Word]) -> None:
         """check_word on each word in turn; valid words cost two passes over their symbols."""
         symbols = itertools.chain.from_iterable
+        if not isinstance(words, Collection):
+            words = list(words)  # the passes below would each consume an iterator
         if all(map(self.n.__eq__, map(len, words))) and all(
             issubclass(t, int) for t in set(map(type, symbols(words)))
         ):

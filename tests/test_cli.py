@@ -68,6 +68,15 @@ def test_construct_flag_combinations(capsys):
     assert "--r applies only to the tensor and lift constructions" in err
 
 
+@pytest.mark.parametrize("construction", ["tensor", "lift"])
+@pytest.mark.parametrize("r", ["0", "-4"])
+def test_construct_refuses_tensor_depth_below_one(construction, r, capsys):
+    assert main(["construct", "--construction", construction, "--q", "3", "--r", r]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--r must be at least 1, got {r}" in err
+
+
 def test_verify_passes_on_good_file(tmp_path, capsys):
     path = tmp_path / "lift.json"
     save_bitrade(lift_to_perfect(alt_bitrade(3)), path)
@@ -204,6 +213,17 @@ def test_info_reports_size_imbalance(tmp_path, capsys):
     assert main(["info", "--in", str(path)]) == 0
     out, _ = capsys.readouterr()
     assert "part sizes 3 and 2 (not a bitrade)" in out
+
+
+def test_info_prints_infinite_distance_for_a_single_word(tmp_path, capsys):
+    doc = json.loads(dumps_json(alt_bitrade(3)))
+    doc["t1"] = doc["t1"][:1]
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    assert main(["info", "--in", str(path)]) == 0
+    out, _ = capsys.readouterr()
+    assert "min distance t0: 3" in out
+    assert "min distance t1: inf" in out
 
 
 def test_info_on_empty_file(tmp_path, capsys):

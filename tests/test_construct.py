@@ -90,15 +90,15 @@ def test_mds_swap_volumes(q, volume):
     assert b.volume == volume
 
 
-def test_mds_swap_parts_are_code_differences():
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_mds_swap_parts_are_code_differences(q):
     # each part satisfies its own weighted check and breaks the other's
     from bitrades.fields import build_field
     from bitrades.linear import rs_mds_code
 
-    q = 4
     f = build_field(q)
     c0 = rs_mds_code(f)
-    c1 = rs_mds_code(f, multipliers=(1, 0, 2, 3))
+    c1 = rs_mds_code(f, multipliers=(1, 0, *range(2, q)))
     b = mds_bitrade(q, "swap")
     assert all(c0.contains(w) and not c1.contains(w) for w in b.t0)
     assert all(c1.contains(w) and not c0.contains(w) for w in b.t1)

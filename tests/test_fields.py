@@ -179,14 +179,15 @@ def test_tables_equal_polynomial_products(q):
             assert f.add(a, b) == _digit_sum(a, b, f.p, f.k)
 
 
-def test_gf512_sampled_products_and_build_time():
+@pytest.mark.parametrize("q", [81, 125, 243, 256, 343, 512])
+def test_gf512_sampled_products_and_build_time(q):
     started = time.perf_counter()
-    f = _build_field(512)
+    f = _build_field(q)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
-    rng = random.Random(512)
+    rng = random.Random(q)
     for _ in range(3000):
-        a, b = rng.randrange(512), rng.randrange(512)
-        assert f.mul(a, b) == _poly_product(a, b, 2, f.modulus)
-        assert f.add(a, b) == a ^ b
-    assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, 512))
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert f.mul(a, b) == _poly_product(a, b, f.p, f.modulus)
+        assert f.add(a, b) == _digit_sum(a, b, f.p, f.k)
+    assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, q))

@@ -59,6 +59,16 @@ def test_params_contains():
         p.check_word((0, 1, 3))
 
 
+def test_check_words_validates_one_shot_iterators():
+    # the fast path takes several passes, so an iterator must be read once
+    p = HammingParams(3, 3)
+    with pytest.raises(ValueError, match=r"\(0, 5, 0\)"):
+        p.check_words(w for w in [(0, 5, 0)])
+    with pytest.raises(ValueError, match=r"\(0, 5, 0\)"):
+        p.check_words(iter([(0, 1, 2), (0, 5, 0)]))
+    p.check_words(iter([(0, 1, 2)]))
+
+
 def test_hamming_distance_examples():
     assert hamming_distance((0, 1, 2), (0, 1, 2)) == 0
     assert hamming_distance((0, 1, 2), (0, 2, 1)) == 2
