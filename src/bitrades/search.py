@@ -9,6 +9,19 @@ branches partition the completions whichever disagreeing vertex is
 picked.  The engine is therefore complete and duplicate-free and, with
 the vertex and the order of its candidates fixed by the state, deterministic.
 
+With symmetry breaking it is complete up to isomorphism instead.  It seeds
+the search by translation, and a node branches on one candidate per orbit of
+the automorphisms of H(n, q) (S_q wr S_n) that fix the branching vertex and
+every placed word, the least id of each.  Such an automorphism g maps each
+completion in branch y to a completion of the same volume in branch g(y):
+the words each part may take depend only on the placed words, which g
+fixes.  So every volume reachable from a skipped candidate is reachable
+from the kept one, and the minimum is still found.  Once only the identity
+fixes the placed words, no descendant can prune, and the orbit step is
+skipped below that node.  Without symmetry breaking every candidate is
+tried from every first word, which keeps an unseeded run an independent
+check of both steps.
+
 The engine counts the candidates of the first few disagreeing vertices.
 A vertex with none ends the branch at once; otherwise the node branches
 on the vertex with the fewest candidates (fewest remaining values, as in
@@ -33,13 +46,13 @@ import random
 import sys
 import time
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
 from functools import reduce
 from operator import or_
 
 from .construct import PERFECT, SPHERICAL, Bitrade, bitrade_kind
-from .hamming import HammingParams, VertexIndex, power_text
+from .hamming import HammingParams, VertexIndex, Word, power_text
 from .verify import definition_check
 
 # Whole-graph exhaustive search is refused above this vertex count.
@@ -67,7 +80,9 @@ class SearchConfig:
     value other than its default in the mode that does not read it raises
     ValueError.  Exhaustive mode only: ``volume_upper_bound`` restricts
     the search to volumes at most that value, and ``symmetry_breaking``
-    seeds the search with canonical first words.  Local mode only:
+    seeds the search with canonical first words and branches on one
+    candidate per orbit of the automorphisms fixing the placed words (see
+    the module docstring); False turns off both.  Local mode only:
     ``seed`` seeds the walk's random choices, ``move_budget`` caps the
     number of applied moves so runs can be cut off deterministically, and
     ``start`` seeds the walk with a known bitrade.
@@ -196,6 +211,46 @@ SCAN = 8
 FEW = 2
 
 
+def _orbit_key(placed: list[Word], x: Word, q: int) -> Callable[[Word], tuple] | None:
+    """A key on words, equal for two words exactly when they lie in one
+    orbit of the automorphisms of H(n, q) that fix x and each placed word.
+
+    Coordinate i's column is (p[i] for p in placed + [x]).  Relabelling its
+    symbols by first occurrence gives the column's pattern and each symbol
+    it uses a label; an unused symbol gets label -1.  A word's key lists,
+    for each pattern, the sorted labels of its symbols at the coordinates
+    with that pattern.  Equal keys mean one orbit: permute the coordinates
+    within each pattern so the labels match, then map each coordinate's
+    symbols by label and its unused symbols to each other; this fixes every
+    column.  Conversely an automorphism fixing every column keeps patterns
+    and labels.
+
+    Returns None when the placed words' columns have pairwise distinct
+    patterns and each uses at least q - 1 symbols.  Then only the identity
+    fixes the placed words, or any set containing them: a coordinate map
+    must keep each column's pattern, and a symbol map each used symbol and
+    so the one unused symbol, if any.
+    """
+    patterns = []
+    columns: list[dict[int, int]] = []
+    for i in range(len(x)):
+        labels: dict[int, int] = {}
+        patterns.append(tuple(labels.setdefault(p[i], len(labels)) for p in placed))
+        columns.append(labels)
+    if len(set(patterns)) == len(x) and all(len(labels) >= q - 1 for labels in columns):
+        return None
+    classes: dict[tuple[int, ...], list[tuple[int, Callable]]] = {}
+    for i, (pattern, labels) in enumerate(zip(patterns, columns)):
+        label = labels.setdefault(x[i], len(labels))
+        classes.setdefault((*pattern, label), []).append((i, labels.get))
+    groups = list(classes.values())
+
+    def key(y: Word) -> tuple:
+        return tuple(tuple(sorted(get(y[i], -1) for i, get in group)) for group in groups)
+
+    return key
+
+
 class _RepairSearch:
     __slots__ = (
         "regions", "size", "allowed", "deadline", "full", "keeps", "parts",
@@ -223,12 +278,34 @@ class _RepairSearch:
             self.keeps[w] = got
         return got
 
-    def run(self, t0: tuple[int, ...], t1: tuple[int, ...]) -> None:
+    def representatives(self, x: int, cands: int) -> tuple[int, bool]:
+        """The least candidate of each orbit of the automorphisms fixing x and
+        the placed words, and whether that group may still be nontrivial
+        below this node (see _orbit_key)."""
+        decode = self.regions.index.decode
+        part0, part1 = self.parts
+        key = _orbit_key([*map(decode, part0), *map(decode, part1)], decode(x), self.regions.params.q)
+        if key is None:
+            return cands, False
+        seen = set()
+        kept = 0
+        while cands:
+            below = cands - 1
+            w = (cands ^ below).bit_length() - 1
+            cands &= below
+            k = key(decode(w))
+            if k not in seen:
+                seen.add(k)
+                kept |= 1 << w
+        return kept, True
+
+    def run(self, t0: tuple[int, ...], t1: tuple[int, ...], orbits: bool) -> None:
         """Search every completion of the seed parts t0 and t1 from a fresh state.
 
         A seed word is closed to the other part here.  A word placed by
         dfs needs no such step: it repairs a vertex the other part covers,
-        so it already shares a neighbour with a word of that part.
+        so it already shares a neighbour with a word of that part.  With
+        ``orbits`` each node branches on one candidate per stabilizer orbit.
         """
         cov = [0, 0]
         free = [self.full, self.full]
@@ -238,10 +315,13 @@ class _RepairSearch:
                 free[side] &= self.keep(w)
                 free[1 - side] &= ~(1 << w)
         self.parts = (list(t0), list(t1))
-        self.dfs(cov[0], cov[1], free[0], free[1])
+        self.dfs(cov[0], cov[1], free[0], free[1], orbits)
 
-    def dfs(self, cov0: int, cov1: int, free0: int, free1: int) -> None:
-        """cov0, cov1: the vertices each part covers; free0, free1: the words each may take."""
+    def dfs(self, cov0: int, cov1: int, free0: int, free1: int, orbits: bool) -> None:
+        """cov0, cov1: the vertices each part covers; free0, free1: the words each may take.
+
+        orbits: whether the placed words may still have a nontrivial stabilizer.
+        """
         self.nodes += 1
         if self.deadline is not None and self.nodes % 256 == 0:
             if time.monotonic() > self.deadline:
@@ -268,7 +348,7 @@ class _RepairSearch:
         regions = self.regions
         masks = regions.masks
         fewest = size + 1
-        side = cands = 0
+        side = vertex = cands = 0
         first = None
         scanned = 0
         for s in (1, 0):
@@ -285,15 +365,17 @@ class _RepairSearch:
                     if k == 0:
                         return
                     if first is None:
-                        first = (s, c)
-                    fewest, side, cands = k, s, c
+                        first = (s, x, c)
+                    fewest, side, vertex, cands = k, s, x, c
                     if k == 1:
                         break
                 scanned += 1
             if fewest == 1 or scanned == SCAN:
                 break
         if fewest > FEW:
-            side, cands = first
+            side, vertex, cands = first
+        if orbits and fewest > 1:
+            cands, orbits = self.representatives(vertex, cands)
         part = self.parts[side]
         keeps = self.keeps
         while cands:
@@ -304,9 +386,9 @@ class _RepairSearch:
             keep = keeps.get(w) or self.keep(w)
             part.append(w)
             if side:
-                self.dfs(cov0, cov1 | m, free0, free1 & keep)
+                self.dfs(cov0, cov1 | m, free0, free1 & keep, orbits)
             else:
-                self.dfs(cov0 | m, cov1, free0 & keep, free1)
+                self.dfs(cov0 | m, cov1, free0 & keep, free1, orbits)
             part.pop()
             if self.exhausted:
                 return
@@ -343,7 +425,7 @@ def _exhaustive(config: SearchConfig, kind: str) -> SearchResult:
         sys.setrecursionlimit(depth_needed)
     try:
         for t0, t1 in seeds:
-            engine.run(t0, t1)
+            engine.run(t0, t1, config.symmetry_breaking)
             if engine.exhausted:
                 break
     finally:

@@ -78,6 +78,8 @@ MINIMA = [
     (PERFECT, 7, 2, 8, False),
     (SPHERICAL, 3, 3, 3, True),
     (PERFECT, 4, 3, 6, True),
+    (SPHERICAL, 6, 3, 18, False),
+    (SPHERICAL, 4, 4, 12, False),
 ]
 
 

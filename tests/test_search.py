@@ -1,12 +1,15 @@
 """Minimum-volume searches: exhaustive branch and bound, local walk."""
 
 import hashlib
+import itertools
+import math
 import random
 import sys
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from helpers import run_all_checks
 
 import bitrades.search as search_module
 from bitrades import (
@@ -207,28 +210,100 @@ def test_result_volume_property():
     assert empty.volume is None
 
 
-# Node counts recorded when the exhaustive search began branching on the
-# disagreeing vertex with the fewest candidates (of up to 8 counted, t1's
-# first; the first counted when none has 2 or fewer) instead of the least
-# one.  Under the least-vertex rule they were 20, 14, 224, 221 and 771,085,
-# and the refutation at volume 10 took 34.05M nodes.  Candidates are tried
-# in increasing id order, so any change to the branching rule, the bound or
-# the seeding changes these trees.
+# Node counts recorded when the exhaustive search began branching on one
+# candidate per orbit of the automorphisms fixing the placed words and the
+# branching vertex.  Before that orbit pruning they were 18, 14, 91, 85,
+# 66,538 and 522,514, under the fewest-candidates rule (of up to 8
+# disagreeing vertices counted, t1's first; the first counted when none has
+# 2 or fewer), and the volume-23 refutation did not finish (volume 14 took
+# 19.4M nodes).  Under the least-vertex rule before that they were 20, 14,
+# 224, 221 and 771,085.  Candidates are tried in increasing id order, so any
+# change to the branching rule, the bound, the seeding or the pruning
+# changes these trees.
 PINNED_NODE_COUNTS = [
-    (find_spherical, HammingParams(3, 3), None, 18),
-    (find_spherical, HammingParams(3, 3), 2, 14),
-    (min_perfect_volume, HammingParams(4, 3), None, 91),
-    (min_perfect_volume, HammingParams(4, 3), 5, 85),
-    (min_perfect_volume, HammingParams(5, 4), 8, 66_538),
-    (min_perfect_volume, HammingParams(5, 4), 10, 522_514),
+    (find_spherical, HammingParams(3, 3), None, 8),
+    (find_spherical, HammingParams(3, 3), 2, 4),
+    (min_perfect_volume, HammingParams(4, 3), None, 18),
+    (min_perfect_volume, HammingParams(4, 3), 5, 12),
+    (min_perfect_volume, HammingParams(5, 4), 8, 102),
+    (min_perfect_volume, HammingParams(5, 4), 10, 648),
+    (min_perfect_volume, HammingParams(5, 4), 23, 537_245),
 ]
 
 
-@pytest.mark.parametrize("search,params,bound,nodes", PINNED_NODE_COUNTS)
+# ids name the instance and not its count, so a re-pin keeps them
+@pytest.mark.parametrize(
+    "search,params,bound,nodes",
+    PINNED_NODE_COUNTS,
+    ids=[f"{s.__name__}-H{p.n}_{p.q}-{b}" for s, p, b, _ in PINNED_NODE_COUNTS],
+)
 def test_exhaustive_node_counts_are_pinned(search, params, bound, nodes):
     result = search(SearchConfig(params, volume_upper_bound=bound))
     assert result.proven_minimum
     assert result.nodes_explored == nodes
+
+
+def test_unseeded_search_is_not_orbit_pruned():
+    # symmetry_breaking=False turns off the orbit pruning with the seeds, so
+    # an unseeded run stays an independent check of both; 382 is its tree
+    # before the pruning existed
+    result = find_spherical(SearchConfig(HammingParams(3, 3), symmetry_breaking=False))
+    assert result.proven_minimum
+    assert result.nodes_explored == 382
+
+
+def _automorphisms(n, q):
+    """Every element of S_q wr S_n as a tuple mapping word ids to word ids."""
+    words = list(itertools.product(range(q), repeat=n))
+    index = {w: i for i, w in enumerate(words)}
+    for perm in itertools.permutations(range(n)):
+        for symbols in itertools.product(itertools.permutations(range(q)), repeat=n):
+            yield tuple(
+                index[tuple(symbols[perm[j]][w[perm[j]]] for j in range(n))] for w in words
+            )
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 2), (2, 4)])
+def test_orbit_key_partitions_words_as_the_stabilizer_orbits(n, q):
+    words = list(itertools.product(range(q), repeat=n))
+    group = list(_automorphisms(n, q))
+    assert len(group) == math.factorial(n) * math.factorial(q) ** n
+    rng = random.Random(100 * n + q)
+    keyed = trivial = 0
+    for _ in range(200):
+        placed = rng.sample(range(len(words)), rng.randint(1, 4))
+        x = rng.randrange(len(words))
+        key = search_module._orbit_key([words[p] for p in placed], words[x], q)
+        if key is None:
+            # only the identity (group[0]) fixes the placed words
+            assert [g for g in group if all(g[p] == p for p in placed)] == [group[0]]
+            trivial += 1
+            continue
+        stabilizer = [g for g in group if g[x] == x and all(g[p] == p for p in placed)]
+        orbits = {frozenset(g[v] for g in stabilizer) for v in range(len(words))}
+        classes = {}
+        for v, w in enumerate(words):
+            classes.setdefault(key(w), set()).add(v)
+        assert {frozenset(c) for c in classes.values()} == orbits
+        keyed += 1
+    assert keyed and trivial
+
+
+def test_h54_perfect_minimum_is_four_factorial():
+    # the paper's minimality theorem at q = 4: volume (q!)^r with r = 1
+    result = min_perfect_volume(SearchConfig(HammingParams(5, 4)))
+    assert result.proven_minimum
+    assert result.volume == math.factorial(4) == lift_to_perfect(alt_bitrade(4)).volume
+    for name, report in run_all_checks(result.best).items():
+        assert report.passed, name
+
+
+def test_h63_spherical_minimum_is_eighteen():
+    result = find_spherical(SearchConfig(HammingParams(6, 3)))
+    assert result.proven_minimum
+    assert result.volume == 18
+    for name, report in run_all_checks(result.best).items():
+        assert report.passed, name
 
 
 # A walk recorded before the searches moved onto the shared integer kernel.
