@@ -9,7 +9,7 @@ too large for it gives the seconds of the ILP in tests/test_oracle.py, whose
 optimum is a floating-point solver's claim and is labelled "oracle", never
 "proven".  Either way the minimum-volume pair found passes all four checks,
 and the named construction has the same volume.  The H(7, 3) ILP takes one
-to two minutes and about 550 MB.
+to two minutes and, with sparse constraint blocks, about 190 MB.
 """
 
 import os
@@ -21,7 +21,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from helpers import run_all_checks  # noqa: E402
 from test_oracle import oracle_minimum  # noqa: E402
 
 from bitrades import (  # noqa: E402
@@ -31,6 +30,7 @@ from bitrades import (  # noqa: E402
     HammingParams,
     SearchConfig,
     alt_bitrade,
+    check_bitrade,
     find_spherical,
     lift_to_perfect,
     min_perfect_volume,
@@ -65,7 +65,7 @@ def row(kind, n, q, text, built, exhaustive) -> str:
         minimum, (t0, t1) = oracle_minimum(kind, n, q)
         witness = Bitrade(params, kind, t0, t1)
         evidence = f"oracle: ILP optimum, {time.perf_counter() - started:.1f} s"
-    failed = [name for name, report in run_all_checks(witness).items() if not report.passed]
+    failed = [name for name, report in check_bitrade(witness).items() if not report.passed]
     if failed:
         raise RuntimeError(f"H({n}, {q}) {kind}: the minimum pair fails {', '.join(failed)}")
     if built.kind != kind or built.params != params or built.volume != minimum:

@@ -48,9 +48,10 @@ from .serialize import (
     to_document,
 )
 from .verify import (
+    CHECKS,
     SignedFunction,
     VerificationReport,
-    bitrade_delsarte_order,
+    check_bitrade,
     definition_check,
     delsarte_face_check,
     delsarte_order,
@@ -58,14 +59,13 @@ from .verify import (
     dist2_pair_check,
     eigen_check,
     min_distance_check,
-    verify_perfect,
-    verify_spherical,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Bitrade",
+    "CHECKS",
     "Code",
     "FieldTable",
     "FORMAT_VERSION",
@@ -82,8 +82,8 @@ __all__ = [
     "all_words",
     "alt_bitrade",
     "ball",
-    "bitrade_delsarte_order",
     "build_field",
+    "check_bitrade",
     "code_distance",
     "coset",
     "definition_check",
@@ -113,7 +113,5 @@ __all__ = [
     "tensor_power",
     "to_document",
     "verify_mds",
-    "verify_perfect",
-    "verify_spherical",
     "__version__",
 ]

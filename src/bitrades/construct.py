@@ -92,16 +92,6 @@ class Bitrade:
         """Number of words in the first part (equal to |t1| for valid bitrades)."""
         return len(self.t0)
 
-    @property
-    def support(self) -> frozenset[Word]:
-        return self.t0 | self.t1
-
-    def signed_values(self) -> dict[Word, int]:
-        """The indicator difference: +1 on t0, -1 on t1."""
-        values = {w: 1 for w in self.t0}
-        values.update((w, -1) for w in self.t1)
-        return values
-
     def sorted_parts(self) -> tuple[list[Word], list[Word]]:
         return sorted(self.t0), sorted(self.t1)
 

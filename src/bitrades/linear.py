@@ -137,44 +137,31 @@ def sum_zero_code(field: FieldTable, n: int) -> ParityCheckCode:
     return ParityCheckCode(field, n, [(1,) * n])
 
 
-def rs_mds_code(
-    field: FieldTable, n: int | None = None, multipliers: tuple[int, ...] | None = None
-) -> ParityCheckCode:
+def rs_mds_code(field: FieldTable, n: int | None = None) -> ParityCheckCode:
     """Sum-zero words that also satisfy one check with pairwise distinct weights.
 
     Any two columns of the resulting check pair (1, w_i), (1, w_j) are
     independent, so the minimum distance is 3 and the code meets the
-    Singleton bound: q^(n-2) words.  By default n = q and the weights are
-    the field elements in enumeration order.
+    Singleton bound: q^(n-2) words.  By default n = q; the weights are the
+    first n field elements in enumeration order.
     """
     n = field.q if n is None else n
     if not 3 <= n <= field.q:
         raise ValueError(
             f"need 3 <= n <= q for a distance-3 weighted check, got n={n}, q={field.q}"
         )
-    if multipliers is None:
-        multipliers = tuple(range(n))
-    else:
-        multipliers = tuple(multipliers)
-    if len(multipliers) != n:
-        raise ValueError(f"expected {n} multipliers, got {len(multipliers)}")
-    if len(set(multipliers)) != n:
-        raise ValueError(f"multipliers must be pairwise distinct, got {multipliers!r}")
-    for m in multipliers:
-        field._check(m)
-    return ParityCheckCode(field, n, [(1,) * n, multipliers])
+    return ParityCheckCode(field, n, [(1,) * n, tuple(range(n))])
 
 
-def coset(field: FieldTable, code: ParityCheckCode | Code, shift: Word) -> Code:
+def coset(field: FieldTable, code: Code, shift: Word) -> Code:
     """Translate every codeword by shift (coordinatewise field addition)."""
-    base = code.to_code() if isinstance(code, ParityCheckCode) else code
-    base.params.check_word(shift)
-    if base.params.q != field.q:
-        raise ValueError(f"code over GF({base.params.q}) but field is GF({field.q})")
+    code.params.check_word(shift)
+    if code.params.q != field.q:
+        raise ValueError(f"code over GF({code.params.q}) but field is GF({field.q})")
     # adding s maps a to row s of the addition table
     rows = [field._add[s] for s in shift]
-    shifted = frozenset(tuple(map(getitem, rows, w)) for w in base.words)
-    return Code(base.params, shifted)
+    shifted = frozenset(tuple(map(getitem, rows, w)) for w in code.words)
+    return Code(code.params, shifted)
 
 
 def verify_mds(code: ParityCheckCode) -> bool:

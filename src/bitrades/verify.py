@@ -37,6 +37,9 @@ FACE_WORK_CEILING = 2**25
 
 CRITERIA = ("definition", "eigen", "dist2count", "delsarte", "mindist")
 
+# the checks check_bitrade runs, in the order it runs them
+CHECKS = ("definition", "eigen", "dist2", "delsarte")
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -89,17 +92,6 @@ class SignedFunction:
             if v not in (1, -1):
                 raise ValueError(f"value at {w!r} must be +1 or -1, got {v!r}")
 
-    @classmethod
-    def from_bitrade(cls, b: Bitrade) -> "SignedFunction":
-        return cls(b.params, b.signed_values())
-
-    @property
-    def support(self) -> frozenset[Word]:
-        return frozenset(self.values)
-
-    def __call__(self, w: Word) -> int:
-        return self.values.get(w, 0)
-
     def parts(self) -> tuple[list[Word], list[Word]]:
         """The words where f is +1, and those where it is -1."""
         plus = [w for w, v in self.values.items() if v == 1]
@@ -147,20 +139,6 @@ def definition_check(
                 failures.append((index.decode(x), c0, c1))
 
     return _report("definition", failures, {"vertices_checked": len(touched)})
-
-
-def verify_spherical(b: Bitrade) -> VerificationReport:
-    """Apply the counting definition to a spherical bitrade candidate."""
-    if b.kind != SPHERICAL:
-        raise ValueError(f"expected a spherical bitrade, got kind {b.kind!r}")
-    return definition_check(b.params, SPHERICAL, b.t0, b.t1)
-
-
-def verify_perfect(b: Bitrade) -> VerificationReport:
-    """Apply the counting definition to a perfect bitrade candidate."""
-    if b.kind != PERFECT:
-        raise ValueError(f"expected a perfect bitrade, got kind {b.kind!r}")
-    return definition_check(b.params, PERFECT, b.t0, b.t1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +265,6 @@ def delsarte_order(params: HammingParams, eigenvalue: int) -> int:
     return m
 
 
-def bitrade_delsarte_order(b: Bitrade) -> int:
-    """The face-sum order matching the bitrade's kind (eigenvalue 0 or -1)."""
-    return delsarte_order(b.params, 0 if b.kind == SPHERICAL else -1)
-
-
 def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
     """Face sums of an alleged (n(q-1) - mq)-eigenfunction.
 
@@ -331,7 +304,35 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
                 if a + b == 1:
                     failures.append(("support", fixed, 1))
     details = {
+        "order": m,
         "faces_total": math.comb(n, k) * q**k,
         "faces_with_support": faces_with_support,
     }
     return _report("delsarte", failures, details)
+
+
+# ---------------------------------------------------------------------------
+# all four checks of one bitrade
+
+
+def check_bitrade(b: Bitrade, checks: Iterable[str] = CHECKS) -> dict[str, VerificationReport]:
+    """Run the named checks on a bitrade, in CHECKS order, keyed by name.
+
+    The kind fixes the eigenvalue of the parts' indicator difference, 0 for
+    spherical and -1 for perfect, and with it the face-sum order m of the
+    delsarte check (reported as ``details["order"]``).  An unknown name
+    raises ValueError before any check runs.
+    """
+    names = list(checks)
+    for name in names:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}; choose from {CHECKS}")
+    eigenvalue = 0 if b.kind == SPHERICAL else -1
+    f = SignedFunction(b.params, {**dict.fromkeys(b.t0, 1), **dict.fromkeys(b.t1, -1)})
+    run = {
+        "definition": lambda: definition_check(b.params, b.kind, b.t0, b.t1),
+        "eigen": lambda: eigen_check(f, eigenvalue),
+        "dist2": lambda: dist2_count_check(b),
+        "delsarte": lambda: delsarte_face_check(f, delsarte_order(b.params, eigenvalue)),
+    }
+    return {name: run[name]() for name in CHECKS if name in names}

@@ -1,4 +1,4 @@
-"""Shared test utilities: corruptions, random pairs, and check bundles."""
+"""Shared test utilities: corruptions, random pairs, and the characterization votes."""
 
 import random
 
@@ -9,9 +9,7 @@ from bitrades import (
     SPHERICAL,
     SignedFunction,
     all_words,
-    bitrade_delsarte_order,
     definition_check,
-    delsarte_face_check,
     dist2_pair_check,
     eigen_check,
     hamming_distance,
@@ -67,18 +65,9 @@ def brute_failures(params, kind, t0, t1) -> list[tuple]:
     return failures
 
 
-def run_all_checks(bitrade: Bitrade) -> dict:
-    """The four verification checks, keyed by name."""
-    f = SignedFunction.from_bitrade(bitrade)
-    eigenvalue = 0 if bitrade.kind == SPHERICAL else -1
-    return {
-        "definition": definition_check(
-            bitrade.params, bitrade.kind, bitrade.t0, bitrade.t1
-        ),
-        "eigen": eigen_check(f, eigenvalue),
-        "dist2": dist2_pair_check(bitrade.params, bitrade.kind, bitrade.t0, bitrade.t1),
-        "delsarte": delsarte_face_check(f, bitrade_delsarte_order(bitrade)),
-    }
+def signed_function(params: HammingParams, t0, t1) -> SignedFunction:
+    """The parts' indicator difference: +1 on t0, -1 on t1."""
+    return SignedFunction(params, {**dict.fromkeys(t0, 1), **dict.fromkeys(t1, -1)})
 
 
 def characterization_votes(params, kind, t0, t1) -> tuple[bool, bool, bool]:
@@ -89,9 +78,7 @@ def characterization_votes(params, kind, t0, t1) -> tuple[bool, bool, bool]:
     should agree.
     """
     eigenvalue = 0 if kind == SPHERICAL else -1
-    values = {w: 1 for w in t0}
-    values.update({w: -1 for w in t1})
-    f = SignedFunction(params, values)
+    f = signed_function(params, t0, t1)
     by_definition = definition_check(params, kind, t0, t1).passed
     by_eigen = (
         eigen_check(f, eigenvalue).passed

@@ -15,7 +15,6 @@ from helpers import (
     characterization_votes,
     corrupt,
     random_pair,
-    run_all_checks,
     translate_parts,
 )
 from bitrades import (
@@ -24,6 +23,7 @@ from bitrades import (
     SPHERICAL,
     SearchConfig,
     alt_bitrade,
+    check_bitrade,
     definition_check,
     find_spherical,
     lift_to_perfect,
@@ -210,7 +210,7 @@ def test_criterion_4_verification_and_corruptions(capfd):
     started = time.perf_counter()
     corruptions_checked = 0
     for label, bitrade in all_constructed_bitrades():
-        for name, result in run_all_checks(bitrade).items():
+        for name, result in check_bitrade(bitrade).items():
             if not result.passed:
                 problems.append(f"{label}: {name} check failed on the real bitrade")
         rng = random.Random(zlib.crc32(label.encode()))
@@ -220,7 +220,7 @@ def test_criterion_4_verification_and_corruptions(capfd):
             # back to the full battery before declaring a miss
             if definition_check(
                 broken.params, broken.kind, broken.t0, broken.t1
-            ).passed and all(r.passed for r in run_all_checks(broken).values()):
+            ).passed and all(r.passed for r in check_bitrade(broken).values()):
                 problems.append(f"{label}: {op} corruption passed every check")
             corruptions_checked += 1
     elapsed = time.perf_counter() - started

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bitrades import alt_bitrade, lift_to_perfect, verify_perfect
+from bitrades import alt_bitrade, check_bitrade, lift_to_perfect
 from bitrades.cli import main
 from bitrades.serialize import dumps_json, load_bitrade, loads_json, save_bitrade
 
@@ -132,7 +132,7 @@ def test_search_h43(tmp_path, capsys):
     assert "minimum volume 6 (proven)" in out
     assert "nodes explored" in out
     found = load_bitrade(path)
-    assert verify_perfect(found).passed
+    assert check_bitrade(found, ["definition"])["definition"].passed
 
 
 def test_search_upper_bound_emptiness(capsys):

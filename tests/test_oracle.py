@@ -10,6 +10,7 @@ import itertools
 
 import numpy
 import pytest
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from bitrades import (
@@ -18,10 +19,9 @@ from bitrades import (
     Bitrade,
     HammingParams,
     SearchConfig,
+    check_bitrade,
     find_spherical,
     min_perfect_volume,
-    verify_perfect,
-    verify_spherical,
 )
 
 
@@ -35,20 +35,20 @@ def oracle_minimum(kind, n, q):
     words = list(itertools.product(range(q), repeat=n))
     index = {w: i for i, w in enumerate(words)}
     size = len(words)
-    hood = numpy.zeros((size, size))
+    rows, cols = [], []
     for w in words:
-        if kind == PERFECT:
-            hood[index[w], index[w]] = 1
-        for j in range(n):
-            for s in range(q):
-                if s != w[j]:
-                    hood[index[w], index[w[:j] + (s,) + w[j + 1:]]] = 1
-    eye = numpy.eye(size)
+        near = [w] if kind == PERFECT else []
+        near += [w[:j] + (s,) + w[j + 1:] for j in range(n) for s in range(q) if s != w[j]]
+        rows += [index[w]] * len(near)
+        cols += [index[x] for x in near]
+    hood = sparse.csr_array((numpy.ones(len(rows)), (rows, cols)), shape=(size, size))
+    eye = sparse.eye_array(size, format="csr")
+    zero = sparse.csr_array((size, size))
     constraints = [
-        LinearConstraint(numpy.hstack([hood, -hood]), 0, 0),
-        LinearConstraint(numpy.hstack([hood, 0 * hood]), 0, 1),
-        LinearConstraint(numpy.hstack([0 * hood, hood]), 0, 1),
-        LinearConstraint(numpy.hstack([eye, eye]), 0, 1),
+        LinearConstraint(sparse.hstack([hood, -hood]), 0, 0),
+        LinearConstraint(sparse.hstack([hood, zero]), 0, 1),
+        LinearConstraint(sparse.hstack([zero, hood]), 0, 1),
+        LinearConstraint(sparse.hstack([eye, eye]), 0, 1),
     ]
     lower = numpy.zeros(2 * size)
     lower[index[(0,) * n]] = 1
@@ -90,8 +90,7 @@ def test_exhaustive_minimum_equals_the_oracle(kind, n, q, minimum, unseeded):
     optimum, (t0, t1) = oracle_minimum(kind, n, q)
     # the oracle's witness is a bitrade of the volume it claims
     witness = Bitrade(params, kind, t0, t1)
-    check = verify_spherical if kind == SPHERICAL else verify_perfect
-    assert check(witness).passed
+    assert check_bitrade(witness, ["definition"])["definition"].passed
     assert witness.volume == optimum == minimum
     result = search(SearchConfig(params))
     assert result.proven_minimum

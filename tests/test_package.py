@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,15 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from bitrades import *", namespace)
     assert set(bitrades.__all__) <= namespace.keys()
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    # the benchmark harness calls these through the package; a deletion fails here first
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    source = "".join((perfbench / name).read_text() for name in ("run.py", "workloads.py"))
+    called = set(re.findall(r"bt\.(\w+)", source)) - {"__file__"}
+    assert {"SignedFunction", "eigen_check", "dist2_count_check"} <= called
+    assert sorted(name for name in called if not hasattr(bitrades, name)) == []
 
 
 # Each size ceiling's refusal, the value its message should show, and the call refused.

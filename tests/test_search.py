@@ -9,7 +9,6 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from helpers import run_all_checks
 
 import bitrades.search as search_module
 from bitrades import (
@@ -19,12 +18,11 @@ from bitrades import (
     SearchConfig,
     SearchResult,
     alt_bitrade,
+    check_bitrade,
     find_spherical,
     lift_to_perfect,
     min_perfect_volume,
     tensor_power,
-    verify_perfect,
-    verify_spherical,
 )
 
 
@@ -32,7 +30,7 @@ def test_h33_spherical_minimum_is_three():
     result = find_spherical(SearchConfig(HammingParams(3, 3)))
     assert result.proven_minimum
     assert result.volume == 3
-    assert verify_spherical(result.best).passed
+    assert check_bitrade(result.best, ["definition"])["definition"].passed
     assert result.nodes_explored > 0
     assert result.wall_time >= 0
 
@@ -52,7 +50,7 @@ def test_h43_perfect_minimum_is_six():
     result = min_perfect_volume(SearchConfig(HammingParams(4, 3)))
     assert result.proven_minimum
     assert result.volume == 6
-    assert verify_perfect(result.best).passed
+    assert check_bitrade(result.best, ["definition"])["definition"].passed
     # the minimum matches the lifted three-symbol construction
     assert result.volume == lift_to_perfect(alt_bitrade(3)).volume
 
@@ -101,7 +99,7 @@ def test_budgeted_search_returns_an_early_incumbent():
     result = min_perfect_volume(SearchConfig(HammingParams(7, 3), time_budget=2.0))
     assert not result.proven_minimum
     assert result.volume == lift_to_perfect(tensor_power(alt_bitrade(3), 2)).volume == 36
-    assert verify_perfect(result.best).passed
+    assert check_bitrade(result.best, ["definition"])["definition"].passed
 
 
 def test_deep_search_raises_the_recursion_limit_and_restores_it(monkeypatch):
@@ -122,7 +120,7 @@ def test_deep_search_raises_the_recursion_limit_and_restores_it(monkeypatch):
     finally:
         real(old)
     assert result.volume == 36
-    assert verify_perfect(result.best).passed
+    assert check_bitrade(result.best, ["definition"])["definition"].passed
     assert seen == [390, 300]
     assert after == 300
 
@@ -164,7 +162,7 @@ def test_local_walk_finds_h33_minimum():
     result = find_spherical(cfg)
     assert not result.proven_minimum
     assert result.volume == 3
-    assert verify_spherical(result.best).passed
+    assert check_bitrade(result.best, ["definition"])["definition"].passed
 
 
 def test_local_walk_is_deterministic():
@@ -182,7 +180,7 @@ def test_local_walk_finds_h43_perfect(seed):
     )
     result = min_perfect_volume(cfg)
     assert result.volume == 6
-    assert verify_perfect(result.best).passed
+    assert check_bitrade(result.best, ["definition"])["definition"].passed
 
 
 def test_local_walk_records_its_start():
@@ -294,7 +292,7 @@ def test_h54_perfect_minimum_is_four_factorial():
     result = min_perfect_volume(SearchConfig(HammingParams(5, 4)))
     assert result.proven_minimum
     assert result.volume == math.factorial(4) == lift_to_perfect(alt_bitrade(4)).volume
-    for name, report in run_all_checks(result.best).items():
+    for name, report in check_bitrade(result.best).items():
         assert report.passed, name
 
 
@@ -302,7 +300,7 @@ def test_h63_spherical_minimum_is_eighteen():
     result = find_spherical(SearchConfig(HammingParams(6, 3)))
     assert result.proven_minimum
     assert result.volume == 18
-    for name, report in run_all_checks(result.best).items():
+    for name, report in check_bitrade(result.best).items():
         assert report.passed, name
 
 

@@ -5,15 +5,18 @@ import time
 
 import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_failures,
     characterization_votes,
     corrupt,
     random_pair,
-    run_all_checks,
+    signed_function,
 )
 from bitrades import (
+    CHECKS,
     Bitrade,
     HammingParams,
     PERFECT,
@@ -21,7 +24,7 @@ from bitrades import (
     SignedFunction,
     VerificationReport,
     alt_bitrade,
-    bitrade_delsarte_order,
+    check_bitrade,
     definition_check,
     delsarte_face_check,
     delsarte_order,
@@ -33,8 +36,6 @@ from bitrades import (
     min_distance_check,
     tensor_combine,
     tensor_power,
-    verify_perfect,
-    verify_spherical,
 )
 from bitrades.fields import build_field
 from bitrades.hamming import all_words, hamming_distance
@@ -76,7 +77,9 @@ def test_alt3_signed_vector_is_in_the_kernel():
     b = alt_bitrade(3)
     chi = signed_vector(params, words, b.t0, b.t1)
     assert not (m @ chi).any()
-    assert eigen_check(SignedFunction.from_bitrade(b), 0).passed
+    report = check_bitrade(b, ["eigen"])["eigen"]
+    assert report.passed
+    assert report.details["eigenvalue"] == 0
 
 
 def test_lifted_vector_has_eigenvalue_minus_one():
@@ -85,7 +88,9 @@ def test_lifted_vector_has_eigenvalue_minus_one():
     b = lift_to_perfect(alt_bitrade(3))
     chi = signed_vector(params, words, b.t0, b.t1)
     assert ((m @ chi) == -chi).all()
-    assert eigen_check(SignedFunction.from_bitrade(b), -1).passed
+    report = check_bitrade(b, ["eigen"])["eigen"]
+    assert report.passed
+    assert report.details["eigenvalue"] == -1
 
 
 @pytest.mark.parametrize(
@@ -99,21 +104,21 @@ def test_eigen_check_agrees_with_matrix_on_random_functions(n, q, eigenvalue):
         t0, t1 = random_pair(params, rng)
         chi = signed_vector(params, words, t0, t1)
         expected = bool(((m @ chi) == eigenvalue * chi).all())
-        values = {w: 1 for w in t0}
-        values.update({w: -1 for w in t1})
-        got = eigen_check(SignedFunction(params, values), eigenvalue)
+        got = eigen_check(signed_function(params, t0, t1), eigenvalue)
         assert got.passed == expected
 
 
 def test_eigen_check_rejects_wrong_eigenvalue():
-    f = SignedFunction.from_bitrade(alt_bitrade(3))
+    b = alt_bitrade(3)
+    f = signed_function(b.params, b.t0, b.t1)
     report = eigen_check(f, -3)
     assert not report.passed
     assert report.witnesses
 
 
 def test_eigen_check_warns_off_spectrum():
-    f = SignedFunction.from_bitrade(alt_bitrade(3))
+    b = alt_bitrade(3)
+    f = signed_function(b.params, b.t0, b.t1)
     with pytest.warns(UserWarning, match="not an eigenvalue"):
         eigen_check(f, 1)
 
@@ -156,23 +161,12 @@ def test_full_sweep_ceiling():
     assert report.details["vertices_checked"] == 0
 
 
-def test_verify_wrappers_check_kind():
-    b = alt_bitrade(3)
-    assert verify_spherical(b).passed
-    with pytest.raises(ValueError, match="spherical"):
-        verify_perfect(b)
-    lifted = lift_to_perfect(b)
-    assert verify_perfect(lifted).passed
-    with pytest.raises(ValueError, match="perfect"):
-        verify_spherical(lifted)
-
-
 def test_corruptions_fail_the_definition():
     rng = random.Random(404)
     b = lift_to_perfect(alt_bitrade(3))
     for _ in range(20):
         op, bad = corrupt(b, rng)
-        report = verify_perfect(bad)
+        report = check_bitrade(bad, ["definition"])["definition"]
         assert not report.passed, op
         assert report.witnesses
         assert len(report.witnesses) <= WITNESS_LIMIT
@@ -242,14 +236,17 @@ def test_delsarte_order_values():
     assert delsarte_order(HammingParams(5, 5), 0) == 4
     with pytest.raises(ValueError):
         delsarte_order(HammingParams(3, 3), 1)
-    assert bitrade_delsarte_order(alt_bitrade(3)) == 2
-    assert bitrade_delsarte_order(lift_to_perfect(alt_bitrade(3))) == 3
+    # check_bitrade picks the order from the kind: eigenvalue 0 or -1
+    assert check_bitrade(alt_bitrade(3), ["delsarte"])["delsarte"].details["order"] == 2
+    lifted = lift_to_perfect(alt_bitrade(3))
+    assert check_bitrade(lifted, ["delsarte"])["delsarte"].details["order"] == 3
 
 
 def test_delsarte_exhaustive_pass():
     b = lift_to_perfect(alt_bitrade(3))
-    report = delsarte_face_check(SignedFunction.from_bitrade(b), 3)
+    report = check_bitrade(b, ["delsarte"])["delsarte"]
     assert report.passed
+    assert report.details["order"] == 3
     assert report.details["faces_total"] == 54
     assert report.details["faces_with_support"] == 36
 
@@ -272,14 +269,14 @@ def test_delsarte_fails_on_moved_word():
         op, bad = corrupt(b, rng)
         if op == "move":
             break
-    f = SignedFunction.from_bitrade(bad)
-    assert not delsarte_face_check(f, 3).passed
+    assert not check_bitrade(bad, ["delsarte"])["delsarte"].passed
 
 
 def test_delsarte_rejects_a_corruption_a_face_sample_passed():
     # a sample of 24 of alt8's faces once passed this corruption
     op, bad = corrupt(alt_bitrade(8), random.Random(1))
-    report = delsarte_face_check(SignedFunction.from_bitrade(bad), 7)
+    report = check_bitrade(bad, ["delsarte"])["delsarte"]
+    assert report.details["order"] == 7
     assert not report.passed, op
 
 
@@ -289,9 +286,7 @@ def test_delsarte_rejects_a_corruption_a_face_sample_passed():
     lambda: lift_to_perfect(tensor_power(alt_bitrade(3), 4)),
 ], ids=["alt8", "tensor-alt5-squared", "lift-tensor-alt3-fourth"])
 def test_delsarte_passes_large_bitrades(make):
-    bitrade = make()
-    f = SignedFunction.from_bitrade(bitrade)
-    report = delsarte_face_check(f, bitrade_delsarte_order(bitrade))
+    report = check_bitrade(make(), ["delsarte"])["delsarte"]
     assert report.passed
     assert report.details["faces_with_support"] > 0
 
@@ -313,16 +308,23 @@ def test_signed_function_validation():
     with pytest.raises(ValueError):
         SignedFunction(params, {(0, 3, 0): 1})
     f = SignedFunction(params, {(0, 1, 2): 1, (0, 2, 1): -1})
-    assert f((0, 1, 2)) == 1
-    assert f((1, 1, 1)) == 0
-    assert f.support == frozenset({(0, 1, 2), (0, 2, 1)})
+    assert f.parts() == ([(0, 1, 2)], [(0, 2, 1)])
 
 
 def test_empty_pair_passes_every_check():
     params = HammingParams(3, 3)
     empty = Bitrade(params, SPHERICAL, frozenset(), frozenset())
-    for name, report in run_all_checks(empty).items():
+    for name, report in check_bitrade(empty).items():
         assert report.passed, name
+
+
+def test_check_bitrade_runs_named_checks_in_order():
+    b = lift_to_perfect(alt_bitrade(3))
+    reports = check_bitrade(b, ["delsarte", "definition", "delsarte"])
+    assert list(reports) == ["definition", "delsarte"]
+    assert list(check_bitrade(b)) == list(CHECKS)
+    with pytest.raises(ValueError, match="unknown check 'parity'"):
+        check_bitrade(b, ["eigen", "parity"])
 
 
 def test_three_way_agreement_on_random_pairs():
@@ -332,3 +334,42 @@ def test_three_way_agreement_on_random_pairs():
             t0, t1 = random_pair(params, rng)
             votes = characterization_votes(params, kind, t0, t1)
             assert len(set(votes)) == 1, (t0, t1, votes)
+
+
+# Bitrades of both kinds from every construction, in H(n, q) with q from 3 to 5.
+INVARIANCE_CASES = {
+    "alt3": lambda: alt_bitrade(3),
+    "alt4": lambda: alt_bitrade(4),
+    "lift-alt3": lambda: lift_to_perfect(alt_bitrade(3)),
+    "tensor-alt3-squared": lambda: tensor_power(alt_bitrade(3), 2),
+    "mds4-swap": lambda: mds_bitrade(4, "swap"),
+    "mds5-coset": lambda: mds_bitrade(5, "coset"),
+}
+
+
+@st.composite
+def automorphic_images(draw):
+    """A bitrade's image under a drawn g in S_q wr S_n, and a seed for corrupting it.
+
+    g moves coordinate order[i] to position i and applies symbols[i] to it.
+    """
+    b = INVARIANCE_CASES[draw(st.sampled_from(sorted(INVARIANCE_CASES)))]()
+    n, q = b.params.n, b.params.q
+    order = draw(st.permutations(range(n)))
+    symbols = [draw(st.permutations(range(q))) for _ in range(n)]
+
+    def g(w):
+        return tuple(symbols[i][w[j]] for i, j in enumerate(order))
+
+    image = Bitrade(b.params, b.kind, frozenset(map(g, b.t0)), frozenset(map(g, b.t1)))
+    return image, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(automorphic_images())
+def test_checks_are_invariant_under_automorphisms(case):
+    image, seed = case
+    for name, report in check_bitrade(image).items():
+        assert report.passed, name
+    op, bad = corrupt(image, random.Random(seed))
+    assert not check_bitrade(bad, ["definition"])["definition"].passed, op
