@@ -243,6 +243,34 @@ class VertexIndex:
         """The word's own id, then its sphere."""
         return itertools.chain((self.encode(word),), self.sphere(word))
 
+    def blocks(self, words: Iterable[Word], ball: bool = False) -> Iterator[Iterator[int]]:
+        """The words' sphere (or ball) ids split into q blocks by first symbol.
+
+        Block v holds the hits y with y[0] = v.  A word with first symbol a
+        puts its changes at positions 1..n-1 (and for a ball its own id) in
+        block a, and one id in each other block v: its own plus (v - a) *
+        q^(n-1).  So every hit is listed once, in its own block, and the
+        blocks together list what ``sphere`` or ``ball`` list word by word.
+        """
+        q, lead = self.params.q, self.weights[0]
+        # position 0 moves a word to another block, so it adds nothing here
+        inner = (((),) * q,) + self._steps[1:]
+        groups: list[list[Word]] = [[] for _ in range(q)]
+        for w in words:
+            groups[w[0]].append(w)
+        ids = [list(map(self.encode, group)) for group in groups]
+        for v in range(q):
+            near = (
+                map(x.__add__, itertools.chain.from_iterable(map(getitem, inner, w)))
+                for x, w in zip(ids[v], groups[v])
+            )
+            far = (map(((v - a) * lead).__add__, ids[a]) for a in range(q) if a != v)
+            yield itertools.chain(
+                ids[v] if ball else (),
+                itertools.chain.from_iterable(near),
+                itertools.chain.from_iterable(far),
+            )
+
     def radius2(self, word: Word) -> list[int]:
         """Ids at distance exactly 2, by increasing pair of changed positions."""
         v = self.encode(word)

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, combinations
 from operator import getitem, itemgetter
 
 from .fields import FieldTable
-from .hamming import ENUMERATION_CEILING, Code, HammingParams, Word, min_distance, power_text
+from .hamming import ENUMERATION_CEILING, Code, HammingParams, Word, power_text
 
 
 class ParityCheckCode:
@@ -19,7 +19,8 @@ class ParityCheckCode:
     order and solves for the pivot coordinates; pivots are chosen as far to
     the right as possible, so each emitted word is usually a free prefix
     plus a solved suffix.  Entries are validated once, here; the row
-    reduction and the enumeration then read the field's tables directly.
+    reduction uses the field's operations and the enumeration reads its
+    tables directly.
     """
 
     __slots__ = ("field", "n", "checks", "_pivots", "_reduced")
@@ -42,14 +43,14 @@ class ParityCheckCode:
 
     def _reduce(self) -> None:
         """Row-reduce the checks, picking the rightmost usable pivot per row."""
-        add, mul, neg = self.field._add, self.field._mul, self.field._neg
+        f = self.field
         pivots: list[int] = []
         reduced: list[list[int]] = []
 
         def eliminate(row: list[int], c: int, by: list[int]) -> None:
             # row -= c * by
             for i, x in enumerate(by):
-                row[i] = add[row[i]][neg[mul[c][x]]]
+                row[i] = f.sub(row[i], f.mul(c, x))
 
         for row in map(list, self.checks):
             for done, col in zip(reduced, pivots):
@@ -58,7 +59,7 @@ class ParityCheckCode:
             pivot = next((col for col in range(self.n - 1, -1, -1) if row[col]), None)
             if pivot is None:
                 continue  # dependent row
-            row = [mul[self.field._inv[row[pivot]]][x] for x in row]
+            row = [f.mul(f.inv(row[pivot]), x) for x in row]
             for done in reduced:
                 if done[pivot]:
                     eliminate(done, done[pivot], row)
@@ -165,12 +166,23 @@ def coset(field: FieldTable, code: Code, shift: Word) -> Code:
 
 
 def verify_mds(code: ParityCheckCode) -> bool:
-    """Check |C| = q^(n-d+1) by enumeration, i.e. the Singleton bound met exactly.
+    """Whether the code meets the Singleton bound |C| = q^(n-d+1), read off its checks.
 
-    Codes with at most one word are trivially MDS by convention.
+    A linear code's minimum distance is the least number of linearly
+    dependent columns of its check matrix, and a code of rank r has
+    q^(n-r) words.  So it is MDS (distance r + 1) exactly when every r
+    columns of the reduced checks are independent, i.e. have rank r.
+    Codes with at most one word are MDS by convention, and the rule
+    agrees.  More than ENUMERATION_CEILING column sets are refused with
+    ValueError.
     """
-    c = code.to_code()
-    d = min_distance(c)
-    if d == math.inf:
-        return True
-    return len(c) == code.field.q ** (code.n - d + 1)
+    n, r = code.n, code.rank
+    if math.comb(n, r) > ENUMERATION_CEILING:
+        raise ValueError(
+            f"refusing to test C({n}, {r}) column sets; "
+            f"the ceiling is {power_text(ENUMERATION_CEILING)}"
+        )
+    return r == 0 or all(
+        ParityCheckCode(code.field, r, [[row[i] for i in chosen] for row in code._reduced]).rank == r
+        for chosen in combinations(range(n), r)
+    )

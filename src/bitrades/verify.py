@@ -16,8 +16,8 @@ import warnings
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, combinations
-from operator import itemgetter
+from itertools import combinations
+from operator import itemgetter, sub
 
 from .construct import PERFECT, SPHERICAL, Bitrade
 from .hamming import (
@@ -124,21 +124,24 @@ def definition_check(
     params.check_words(set1)
 
     index = VertexIndex(params)
-    hood = index.ball if kind == PERFECT else index.sphere
-    counts0, counts1 = (Counter(chain.from_iterable(map(hood, s))) for s in (set0, set1))
+    ball = kind == PERFECT
     failures: list[tuple] = []
-    # equal counters with no count above 1 leave nothing to report
-    if dict.__eq__(counts0, counts1) and max(counts0.values(), default=0) <= 1:
-        touched = counts0.keys()
-    else:
-        touched = counts0.keys() | counts1.keys()
+    touched = 0
+    for hits0, hits1 in zip(index.blocks(set0, ball), index.blocks(set1, ball)):
+        counts0, counts1 = Counter(hits0), Counter(hits1)
+        # equal counters with no count above 1 leave nothing to report
+        if dict.__eq__(counts0, counts1) and max(counts0.values(), default=0) <= 1:
+            touched += len(counts0)
+            continue
+        keys = counts0.keys() | counts1.keys()
+        touched += len(keys)
         get0, get1 = counts0.get, counts1.get
-        for x in touched:
+        for x in keys:
             c0, c1 = get0(x, 0), get1(x, 0)
             if c0 != c1 or c0 > 1:
                 failures.append((index.decode(x), c0, c1))
 
-    return _report("definition", failures, {"vertices_checked": len(touched)})
+    return _report("definition", failures, {"vertices_checked": touched})
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +163,27 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
         )
     index = VertexIndex(f.params)
     plus, minus = f.parts()
-    up, down = (Counter(chain.from_iterable(map(index.sphere, s))) for s in (plus, minus))
-    pos, neg = set(map(index.encode, plus)), set(map(index.encode, minus))
+    # the support's values, split into the blocks of their first symbol
+    signs: list[dict[int, int]] = [{} for _ in range(f.params.q)]
+    for w, value in f.values.items():
+        signs[w[0]][index.encode(w)] = value
 
     failures: list[tuple] = []
-    # for eigenvalue 0 the equation holds exactly when the hit counts agree
-    if eigenvalue or not dict.__eq__(up, down):
-        for x in up.keys() | down.keys() | pos | neg:
-            lhs = eigenvalue if x in pos else -eigenvalue if x in neg else 0
+    checked = 0
+    for sign, hits_up, hits_down in zip(signs, index.blocks(plus), index.blocks(minus)):
+        up, down = Counter(hits_up), Counter(hits_down)
+        # for eigenvalue 0 the equation holds exactly when the hit counts agree
+        if not eigenvalue and dict.__eq__(up, down):
+            checked += len(up) + len(sign.keys() - up.keys())
+            continue
+        touched = up.keys() | down.keys() | sign.keys()
+        checked += len(touched)
+        for x in touched:
+            lhs = eigenvalue * sign.get(x, 0)
             rhs = up.get(x, 0) - down.get(x, 0)
             if lhs != rhs:
                 failures.append((index.decode(x), lhs, rhs))
-    return _report("eigen", failures, {"eigenvalue": eigenvalue})
+    return _report("eigen", failures, {"eigenvalue": eigenvalue, "vertices_checked": checked})
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +284,10 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
     sum to zero, and must take at least two nonzero values unless it is
     zero on the whole face.  Every face is checked: one projection of the
     support per set of fixed positions, and faces the support misses pass.
-    More than FACE_WORK_CEILING projections (C(n, m-1) * |support|) are
-    refused with ValueError.
+    A projection is an integer key, the word's id less the digits of the
+    other positions, and symbols are decoded only for witnesses.  More than
+    FACE_WORK_CEILING projections (C(n, m-1) * |support|) are refused with
+    ValueError.
     """
     n, q = f.params.n, f.params.q
     if not isinstance(m, int) or not 1 <= m <= n + 1:
@@ -285,21 +299,34 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
             f"face check of C({n}, {k}) position sets over {len(f.values)} words "
             f"refused; the ceiling is {FACE_WORK_CEILING} projections"
         )
-    plus, minus = f.parts()
+    index = VertexIndex(f.params)
+    parts = [
+        (list(map(index.encode, words)), [list(map(itemgetter(i), words)) for i in range(n)])
+        for words in f.parts()
+    ]
+    digit_values = [tuple(a * w for a in range(q)) for w in index.weights]
+
+    def keys(ids: list[int], columns: list[list[int]], positions: tuple[int, ...]) -> Counter:
+        out: Iterable[int] = ids
+        for i in range(n):
+            if i not in positions:
+                out = map(sub, out, map(digit_values[i].__getitem__, columns[i]))
+        return Counter(out)
+
     failures: list[tuple] = []
     faces_with_support = 0
     for positions in combinations(range(n), k):
-        get = itemgetter(*positions) if k > 1 else lambda w: tuple(w[i] for i in positions)
-        up, down = Counter(map(get, plus)), Counter(map(get, minus))
+        up, down = (keys(ids, columns, positions) for ids, columns in parts)
+        if dict.__eq__(up, down):
+            faces_with_support += len(up)
+            continue
         faces = up.keys() | down.keys()
         faces_with_support += len(faces)
-        if dict.__eq__(up, down):
-            continue
-        for symbols in faces:
-            a, b = up.get(symbols, 0), down.get(symbols, 0)
+        for key in faces:
+            a, b = up.get(key, 0), down.get(key, 0)
             # a lone nonzero value makes the sum nonzero too
             if a != b:
-                fixed = tuple((p + 1, s) for p, s in zip(positions, symbols))
+                fixed = tuple((p + 1, key // index.weights[p] % q) for p in positions)
                 failures.append(("zero_sum", fixed, a - b))
                 if a + b == 1:
                     failures.append(("support", fixed, 1))

@@ -1,6 +1,9 @@
-"""Shared test utilities: corruptions, random pairs, and the characterization votes."""
+"""Shared test utilities: corruptions, random pairs, reference checks and the characterization votes."""
 
 import random
+from collections import Counter
+from itertools import chain, combinations
+from math import comb
 
 from bitrades import (
     Bitrade,
@@ -8,6 +11,7 @@ from bitrades import (
     PERFECT,
     SPHERICAL,
     SignedFunction,
+    VerificationReport,
     all_words,
     definition_check,
     dist2_pair_check,
@@ -15,6 +19,8 @@ from bitrades import (
     hamming_distance,
     min_distance_check,
 )
+from bitrades.hamming import VertexIndex
+from bitrades.verify import WITNESS_LIMIT
 
 CORRUPTIONS = ("delete", "move", "replace")
 
@@ -63,6 +69,62 @@ def brute_failures(params, kind, t0, t1) -> list[tuple]:
         if c0 != c1 or c0 > 1:
             failures.append((x, c0, c1))
     return failures
+
+
+def reference_report(criterion: str, failures: list[tuple], details: dict) -> VerificationReport:
+    failures = sorted(failures)
+    return VerificationReport(
+        criterion, not failures, tuple(failures[:WITNESS_LIMIT]), len(failures), details
+    )
+
+
+def definition_reference(params, kind, t0, t1) -> VerificationReport:
+    """definition_check counted with one Counter per part over every hit at once."""
+    index = VertexIndex(params)
+    hood = index.ball if kind == PERFECT else index.sphere
+    counts0, counts1 = (Counter(chain.from_iterable(map(hood, part))) for part in (t0, t1))
+    touched = counts0.keys() | counts1.keys()
+    failures = [
+        (index.decode(x), counts0[x], counts1[x])
+        for x in touched
+        if counts0[x] != counts1[x] or counts0[x] > 1
+    ]
+    return reference_report("definition", failures, {"vertices_checked": len(touched)})
+
+
+def eigen_reference(f: SignedFunction, eigenvalue: int) -> VerificationReport:
+    """eigen_check counted with one Counter per sign over every sphere hit at once."""
+    index = VertexIndex(f.params)
+    plus, minus = f.parts()
+    up, down = (Counter(chain.from_iterable(map(index.sphere, part))) for part in (plus, minus))
+    sign = {index.encode(w): value for w, value in f.values.items()}
+    touched = up.keys() | down.keys() | sign.keys()
+    failures = [
+        (index.decode(x), eigenvalue * sign.get(x, 0), up[x] - down[x])
+        for x in touched
+        if eigenvalue * sign.get(x, 0) != up[x] - down[x]
+    ]
+    details = {"eigenvalue": eigenvalue, "vertices_checked": len(touched)}
+    return reference_report("eigen", failures, details)
+
+
+def delsarte_reference(f: SignedFunction, m: int) -> VerificationReport:
+    """delsarte_face_check with faces keyed by tuples of the fixed symbols."""
+    n, q, k = f.params.n, f.params.q, m - 1
+    plus, minus = f.parts()
+    failures, faces_with_support = [], 0
+    for positions in combinations(range(n), k):
+        up, down = (Counter(tuple(w[i] for i in positions) for w in part) for part in (plus, minus))
+        faces = up.keys() | down.keys()
+        faces_with_support += len(faces)
+        for symbols in faces:
+            if up[symbols] != down[symbols]:
+                fixed = tuple((p + 1, s) for p, s in zip(positions, symbols))
+                failures.append(("zero_sum", fixed, up[symbols] - down[symbols]))
+                if up[symbols] + down[symbols] == 1:
+                    failures.append(("support", fixed, 1))
+    details = {"order": m, "faces_total": comb(n, k) * q**k, "faces_with_support": faces_with_support}
+    return reference_report("delsarte", failures, details)
 
 
 def signed_function(params: HammingParams, t0, t1) -> SignedFunction:

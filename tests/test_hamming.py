@@ -1,5 +1,6 @@
 """Metric, neighbourhood, and enumeration primitives, and the integer kernel."""
 
+import collections
 import itertools
 import math
 import random
@@ -285,6 +286,24 @@ def test_kernel_neighbourhoods_match_word_versions(case):
     r2 = index.radius2(word)
     assert len(r2) == len(set(r2)) == math.comb(params.n, 2) * (params.q - 1) ** 2
     assert sorted(r2) == [index.encode(w) for w in radius2_words(params, word)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_blocks_split_the_neighbourhood_hits_by_first_symbol(q):
+    rng = random.Random(q)
+    for n in (1, 2, 3, 4):
+        params = HammingParams(n, q)
+        index = VertexIndex(params)
+        for _ in range(10):
+            size = rng.randrange(min(params.vertex_count, 30) + 1)
+            words = rng.sample(list(all_words(params)), size)
+            for ball, hood in ((False, index.sphere), (True, index.ball)):
+                blocks = [list(block) for block in index.blocks(words, ball)]
+                assert len(blocks) == q
+                for v, block in enumerate(blocks):
+                    assert all(index.decode(x)[0] == v for x in block)
+                per_word = collections.Counter(itertools.chain.from_iterable(map(hood, words)))
+                assert collections.Counter(itertools.chain.from_iterable(blocks)) == per_word
 
 
 def test_kernel_small_cases():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -214,6 +215,60 @@ def test_verify_mds():
     # codes with at most one word are MDS by convention
     f3 = build_field(3)
     assert verify_mds(ParityCheckCode(f3, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+
+
+def mds_by_enumeration(code) -> bool:
+    """Whether the enumerated code meets the Singleton bound |C| = q^(n-d+1)."""
+    d = min_distance(code.to_code())
+    return d == math.inf or code.size() == code.field.q ** (code.n - d + 1)
+
+
+def codes_the_tests_build():
+    f2, f3, f5 = build_field(2), build_field(3), build_field(5)
+    codes = [sum_zero_code(build_field(q), n) for q, n in ((3, 3), (3, 4), (2, 5), (4, 4), (5, 3))]
+    codes += [rs_mds_code(build_field(q)) for q in (3, 4, 5, 7)]
+    codes += [rs_mds_code(f5, n=4), rs854()]
+    codes += [ParityCheckCode(f3, 3, [(1, 1, 1), perm]) for perm in itertools.permutations(range(3))]
+    codes += [
+        ParityCheckCode(build_field(q), q, [(1,) * q, (1, 0) + tuple(range(2, q))]) for q in (4, 5, 7)
+    ]
+    codes += [
+        ParityCheckCode(f3, 3, [(1, 1, 1), (2, 2, 2), (0, 0, 0)]),
+        ParityCheckCode(f2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)]),
+        ParityCheckCode(f3, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    ]
+    return codes
+
+
+def test_verify_mds_agrees_with_enumeration():
+    verdicts = []
+    for code in codes_the_tests_build():
+        verdicts.append(verify_mds(code))
+        assert verdicts[-1] == mds_by_enumeration(code), code.checks
+    rng = random.Random(8)
+    for q in range(2, 10):
+        if q == 6:
+            continue
+        f = build_field(q)
+        for _ in range(40):
+            n = rng.randrange(1, 7 if q <= 3 else 5)
+            rows = [
+                tuple(rng.randrange(q) if rng.random() < 0.8 else 0 for _ in range(n))
+                for _ in range(rng.randrange(n + 2))
+            ]
+            code = ParityCheckCode(f, n, rows)
+            verdicts.append(verify_mds(code))
+            assert verdicts[-1] == mds_by_enumeration(code), (q, rows)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
+
+
+def test_verify_mds_refuses_too_many_column_sets():
+    # rank 30 over 60 columns: C(60, 30), about 1.2e17 sets of 30 columns
+    f = build_field(2)
+    code = ParityCheckCode(f, 60, [tuple(int(j in (i, i + 30)) for j in range(60)) for i in range(30)])
+    assert code.rank == 30
+    with pytest.raises(ValueError, match="ceiling"):
+        verify_mds(code)
 
 
 def rs854():

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import numpy
 import pytest
@@ -12,6 +13,9 @@ from helpers import (
     brute_failures,
     characterization_votes,
     corrupt,
+    definition_reference,
+    delsarte_reference,
+    eigen_reference,
     random_pair,
     signed_function,
 )
@@ -150,6 +154,74 @@ def test_definition_check_modes_and_details():
     near = [x for x in all_words(b.params) if any(hamming_distance(x, w) == 1 for w in support)]
     assert report.details == {"vertices_checked": len(near)}
     assert len(near) < b.params.vertex_count
+
+
+def test_eigen_check_reports_the_vertices_it_visits():
+    # alt3's support is the 6 permutation words of H(3, 3), and their spheres
+    # hold the 18 words with exactly two distinct symbols: every word but the
+    # 3 constant ones, which lie at distance 2 from every permutation
+    b = alt_bitrade(3)
+    report = check_bitrade(b, ["eigen"])["eigen"]
+    assert report.passed
+    assert report.details == {"eigenvalue": 0, "vertices_checked": 24}
+    # one word: itself and its 6 neighbours, whether the check passes or fails
+    f = SignedFunction(HammingParams(3, 3), {(0, 1, 2): 1})
+    for eigenvalue in HammingParams(3, 3).eigenvalues():
+        assert eigen_check(f, eigenvalue).details["vertices_checked"] == 7
+    assert eigen_check(SignedFunction(HammingParams(3, 3), {}), 0).details["vertices_checked"] == 0
+
+
+REFERENCE_CASES = {
+    "alt3": lambda: alt_bitrade(3),
+    "alt5": lambda: alt_bitrade(5),
+    "mds4-swap": lambda: mds_bitrade(4, "swap"),
+    "mds5-coset": lambda: mds_bitrade(5, "coset"),
+    "lift-alt3": lambda: lift_to_perfect(alt_bitrade(3)),
+    "lift-alt4": lambda: lift_to_perfect(alt_bitrade(4)),
+    "lift-tensor-alt3-squared": lambda: lift_to_perfect(tensor_power(alt_bitrade(3), 2)),
+}
+
+
+@pytest.mark.parametrize("make", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+def test_checks_report_what_whole_set_references_report(make):
+    b = make()
+    rng = random.Random(len(b.t0) * b.params.q)
+    eigenvalue = 0 if b.kind == SPHERICAL else -1
+    for case in [b] + [corrupt(b, rng)[1] for _ in range(20)]:
+        f = signed_function(case.params, case.t0, case.t1)
+        assert definition_check(case.params, case.kind, case.t0, case.t1) == definition_reference(
+            case.params, case.kind, case.t0, case.t1
+        )
+        assert eigen_check(f, eigenvalue) == eigen_reference(f, eigenvalue)
+        m = delsarte_order(case.params, eigenvalue)
+        assert delsarte_face_check(f, m) == delsarte_reference(f, m)
+
+
+def test_checks_match_whole_set_references_on_random_pairs():
+    rng = random.Random(11)
+    for params in (HammingParams(3, 3), HammingParams(4, 2), HammingParams(2, 5), HammingParams(1, 4)):
+        for _ in range(40):
+            t0, t1 = random_pair(params, rng, max_words=min(6, params.vertex_count // 2))
+            for kind in (SPHERICAL, PERFECT):
+                assert definition_check(params, kind, t0, t1) == definition_reference(params, kind, t0, t1)
+            f = signed_function(params, t0, t1)
+            for eigenvalue in params.eigenvalues():
+                assert eigen_check(f, eigenvalue) == eigen_reference(f, eigenvalue)
+            for m in range(1, params.n + 2):
+                assert delsarte_face_check(f, m) == delsarte_reference(f, m)
+
+
+def test_definition_check_counts_one_block_at_a_time():
+    # whole-set counters of the 705,894 sphere hits per part peaked at 143 MiB
+    b = mds_bitrade(7, "coset")
+    tracemalloc.start()
+    try:
+        report = definition_check(b.params, b.kind, b.t0, b.t1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 50 * 2**20
 
 
 def test_full_sweep_ceiling():
