@@ -1,15 +1,13 @@
 """Print MINIMA.md: minimum bitrade volumes, the evidence for each, and a construction attaining it.
 
-Run from the repository root with the test extra installed (numpy, scipy):
+Run from the repository root:
 
     python scripts/minima.py > MINIMA.md
 
-A row the exhaustive search settles gives its node count and seconds.  A row
-too large for it gives the seconds of the ILP in tests/test_oracle.py, whose
-optimum is a floating-point solver's claim and is labelled "oracle", never
-"proven".  Either way the minimum-volume pair found passes all four checks,
-and the named construction has the same volume.  The H(7, 3) ILP takes one
-to two minutes and, with sparse constraint blocks, about 190 MB.
+Each row is settled by the exhaustive search with symmetry breaking and
+gives its node count and seconds; the H(7, 3) row takes about half a
+minute.  The minimum-volume pair found passes all four checks, and the
+named construction has the same volume.
 """
 
 import os
@@ -19,14 +17,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-from test_oracle import oracle_minimum  # noqa: E402
+sys.path.insert(0, str(ROOT / "src"))
 
 from bitrades import (  # noqa: E402
     PERFECT,
     SPHERICAL,
-    Bitrade,
     HammingParams,
     SearchConfig,
     alt_bitrade,
@@ -37,50 +32,45 @@ from bitrades import (  # noqa: E402
     tensor_power,
 )
 
-# (kind, n, q, construction text, the construction, settled by the exhaustive search)
+# (kind, n, q, construction text, the construction)
 INSTANCES = [
-    (SPHERICAL, 3, 3, "alt_bitrade(3)", alt_bitrade(3), True),
-    (SPHERICAL, 4, 4, "alt_bitrade(4)", alt_bitrade(4), True),
-    (SPHERICAL, 6, 3, "tensor_power(alt_bitrade(3), 2)", tensor_power(alt_bitrade(3), 2), True),
-    (PERFECT, 4, 3, "lift_to_perfect(alt_bitrade(3))", lift_to_perfect(alt_bitrade(3)), True),
-    (PERFECT, 5, 4, "lift_to_perfect(alt_bitrade(4))", lift_to_perfect(alt_bitrade(4)), True),
+    (SPHERICAL, 3, 3, "alt_bitrade(3)", alt_bitrade(3)),
+    (SPHERICAL, 4, 4, "alt_bitrade(4)", alt_bitrade(4)),
+    (SPHERICAL, 6, 3, "tensor_power(alt_bitrade(3), 2)", tensor_power(alt_bitrade(3), 2)),
+    (PERFECT, 4, 3, "lift_to_perfect(alt_bitrade(3))", lift_to_perfect(alt_bitrade(3))),
+    (PERFECT, 5, 4, "lift_to_perfect(alt_bitrade(4))", lift_to_perfect(alt_bitrade(4))),
     (
         PERFECT, 7, 3, "lift_to_perfect(tensor_power(alt_bitrade(3), 2))",
-        lift_to_perfect(tensor_power(alt_bitrade(3), 2)), False,
+        lift_to_perfect(tensor_power(alt_bitrade(3), 2)),
     ),
 ]
 
 
-def row(kind, n, q, text, built, exhaustive) -> str:
+def row(kind, n, q, text, built) -> str:
     params = HammingParams(n, q)
+    search = find_spherical if kind == SPHERICAL else min_perfect_volume
     started = time.perf_counter()
-    if exhaustive:
-        search = find_spherical if kind == SPHERICAL else min_perfect_volume
-        result = search(SearchConfig(params))
-        if not result.proven_minimum:
-            raise RuntimeError(f"H({n}, {q}) {kind}: the search ended unproven")
-        minimum, witness = result.volume, result.best
-        evidence = f"proven: {result.nodes_explored:,} nodes, {time.perf_counter() - started:.2f} s"
-    else:
-        minimum, (t0, t1) = oracle_minimum(kind, n, q)
-        witness = Bitrade(params, kind, t0, t1)
-        evidence = f"oracle: ILP optimum, {time.perf_counter() - started:.1f} s"
-    failed = [name for name, report in check_bitrade(witness).items() if not report.passed]
+    result = search(SearchConfig(params))
+    seconds = time.perf_counter() - started
+    if not result.proven_minimum:
+        raise RuntimeError(f"H({n}, {q}) {kind}: the search ended unproven")
+    minimum = result.volume
+    failed = [name for name, report in check_bitrade(result.best).items() if not report.passed]
     if failed:
         raise RuntimeError(f"H({n}, {q}) {kind}: the minimum pair fails {', '.join(failed)}")
     if built.kind != kind or built.params != params or built.volume != minimum:
         raise RuntimeError(f"{text} is not a {kind} bitrade of volume {minimum} in H({n}, {q})")
+    evidence = f"proven: {result.nodes_explored:,} nodes, {seconds:.2f} s"
     return f"| H({n}, {q}) | {kind} | {minimum} | {evidence} | `{text}` |"
 
 
 def main() -> None:
     print("# Minimum bitrade volumes")
     print()
-    print("Written by `python scripts/minima.py > MINIMA.md`. \"proven\" rows come from")
-    print("the exhaustive search with symmetry breaking; \"oracle\" rows from the ILP in")
-    print("`tests/test_oracle.py`, a solver's claim and not a proof. In every row the")
-    print("minimum-volume pair found passes all four checks (definition, eigen, dist2,")
-    print("delsarte), and the construction named attains the minimum.")
+    print("Written by `python scripts/minima.py > MINIMA.md`. Every row is proven by")
+    print("the exhaustive search with symmetry breaking, the minimum-volume pair found")
+    print("passes all four checks (definition, eigen, dist2, delsarte), and the")
+    print("construction named attains the minimum.")
     print(
         f"Timed with Python {platform.python_version()} on {platform.machine()}, "
         f"{os.cpu_count()} CPUs."

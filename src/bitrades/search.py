@@ -30,9 +30,17 @@ vertex counted when none has.  A word is a candidate for a part when it
 is in neither part and shares no neighbour with a word of that part,
 since no vertex may be covered twice.
 
+Before branching, a node bounds the volume from below.  Each part must
+still cover, one new word each, the vertices that only the other part
+covers.  Once an incumbent or the volume bound is below the packing cap
+(q^n // region size, the most words a part can hold), a fractional
+covering bound on those words (``_RepairSearch.need``) ends the branch
+when they cannot fit.
+
 Vertices are numbered 0..q^n-1 (first coordinate most significant).  Each
 part keeps the vertices it covers and the words it may still take as
-bitmasks, so counting a vertex's candidates is one AND and one popcount.
+bitmasks, so counting a vertex's candidates is one AND and one popcount,
+and the covering bound moves whole bitmasks by shifts (``_RepairSearch``).
 
 The local engine is a best-effort tabu walk scoring the number of violated
 vertices; it proves nothing.  A move (w, src, dst) takes word w from side
@@ -42,6 +50,7 @@ src to side dst, a side being 0, 1 or None for neither part: adding is
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import time
@@ -156,39 +165,39 @@ def _run(config: SearchConfig, kind: str) -> SearchResult:
 
 
 class _Regions:
-    """Lazy per-vertex neighbourhoods (ball or sphere) as sorted ids and as bitmasks."""
+    """Per-vertex neighbourhoods (ball or sphere) as bitmasks.
 
-    __slots__ = ("params", "kind", "index", "_hood", "_ids", "masks")
+    Vertex x's ball is the union of its n lines, the vertices that differ
+    from x at most at one coordinate; its sphere drops x itself.  The line
+    through 0 at coordinate i is lines[i], the ids s * q^(n-1-i); moving it
+    through x shifts it by x less x's digit i times q^(n-1-i).  One mask per
+    vertex is cached when first asked for.
+    """
+
+    __slots__ = ("params", "kind", "index", "lines", "masks")
 
     def __init__(self, params: HammingParams, kind: str) -> None:
+        q = params.q
         self.params = params
         self.kind = kind
         self.index = VertexIndex(params)
-        self._hood = self.index.ball if kind == PERFECT else self.index.sphere
-        self._ids: dict[int, tuple[int, ...]] = {}
+        self.lines = tuple((w, sum(1 << s * w for s in range(q))) for w in self.index.weights)
         self.masks: dict[int, int] = {}
 
     @property
     def size(self) -> int:
         return self.params.degree + (1 if self.kind == PERFECT else 0)
 
-    def hood(self, x: int) -> Iterator[int]:
-        return self._hood(self.index.decode(x))
-
-    def ids(self, x: int) -> tuple[int, ...]:
-        got = self._ids.get(x)
-        if got is None:
-            got = tuple(sorted(self.hood(x)))
-            self._ids[x] = got
-        return got
-
     def mask(self, x: int) -> int:
+        """x's neighbourhood."""
         got = self.masks.get(x)
         if got is None:
-            # from the ids without caching them: the exhaustive search asks
-            # for nearly every vertex's mask, and cached tuples would raise
-            # its peak memory
-            got = sum(map((1).__lshift__, self.hood(x)))  # distinct ids: sum is union
+            q = self.params.q
+            got = 0
+            for w, line in self.lines:
+                got |= line << (x - x // w % q * w)
+            if self.kind == SPHERICAL:
+                got ^= 1 << x
             self.masks[x] = got
         return got
 
@@ -252,31 +261,107 @@ def _orbit_key(placed: list[Word], x: Word, q: int) -> Callable[[Word], tuple] |
 
 
 class _RepairSearch:
+    """The branch and bound over one graph, with its bitmask kernels.
+
+    Every sphere neighbour of x is x moved by one step: add d (mod q) to
+    the digit of one coordinate, for d in 1..q-1.  On ids a step shifts up
+    the vertices whose digit there stays below q and shifts down the rest,
+    so one step moves a whole vertex set with two ANDs and two shifts.
+    """
+
     __slots__ = (
-        "regions", "size", "allowed", "deadline", "full", "keeps", "parts",
-        "nodes", "exhausted", "best",
+        "regions", "size", "allowed", "deadline", "full", "cap", "scale", "steps", "keeps",
+        "parts", "nodes", "exhausted", "best",
     )
 
     def __init__(self, regions: _Regions, allowed: int, deadline: float | None) -> None:
+        params = regions.params
+        q = params.q
         self.regions = regions
         self.size = regions.size
         self.allowed = allowed
         self.deadline = deadline
-        self.full = (1 << regions.params.vertex_count) - 1
+        self.full = (1 << params.vertex_count) - 1
+        self.cap = params.vertex_count // self.size
+        self.scale = math.lcm(*range(1, self.size + 1))
+        # (the ids whose digit stays below q, shift up, the rest, shift down)
+        self.steps: list[tuple[int, int, int, int]] = []
+        for w in regions.index.weights:
+            # the ids whose digits from this coordinate on are all 0
+            spaced = self.full // ((1 << q * w) - 1)
+            for d in range(1, q):
+                low = ((1 << (q - d) * w) - 1) * spaced
+                high = (((1 << d * w) - 1) << (q - d) * w) * spaced
+                self.steps.append((low, d * w, high, (q - d) * w))
         self.keeps: dict[int, int] = {}
         self.parts: tuple[list[int], list[int]] = ([], [])
         self.nodes = 0
         self.exhausted = False
         self.best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
+    def moved(self, xs: int) -> Iterator[int]:
+        """xs moved by each step, and for balls xs itself.  A vertex y lies in
+        as many of them as its neighbourhood holds vertices of xs, since the
+        steps are closed under inverses."""
+        if self.regions.kind == PERFECT:
+            yield xs
+        for low, up, high, down in self.steps:
+            yield (xs & low) << up | (xs & high) >> down
+
+    def dilate(self, xs: int) -> int:
+        """The union of the neighbourhoods of the vertices in xs."""
+        return reduce(or_, self.moved(xs))
+
     def keep(self, w: int) -> int:
         """The words a part holding w may still take: those whose neighbourhood misses w's."""
         got = self.keeps.get(w)
         if got is None:
-            mask = self.regions.mask
-            got = self.full ^ reduce(or_, map(mask, self.regions.hood(w)))
+            got = self.full ^ self.dilate(self.regions.mask(w))
             self.keeps[w] = got
         return got
+
+    def need(self, lack: int, free: int) -> int | None:
+        """A lower bound on the words a part must still add, or None when no
+        completion exists.
+
+        lack holds the vertices the other part covers and this part does
+        not; free the words this part may still take.  Each x in lack needs
+        exactly one new word of this part among its candidates, the free
+        words of its region.  A candidate w repairs deg(w) = |N(w) & lack|
+        of them, each of which has d_x, the largest degree among x's
+        candidates, at least deg(w); so the part needs at least the sum of
+        1 / d_x over lack.  It is summed exactly, scaled by lcm(1..size).
+        Since d_x <= size, it is never below |lack| / size.  A vertex of
+        lack without candidates admits no completion.
+        """
+        size = self.size
+        # planes[j]: bit j of each word's degree, summed bit-sliced
+        planes = [0] * size.bit_length()
+        for carry in self.moved(lack):
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+        cands = free & reduce(or_, planes)
+        scale = self.scale
+        total = 0
+        left = lack
+        # walk the degrees down: a vertex of lack next to a candidate of
+        # degree g, and none of higher degree, has d_x = g
+        for g in range(size, 0, -1):
+            exact = cands
+            for j, plane in enumerate(planes):
+                exact &= plane if g >> j & 1 else ~plane
+            got = exact and self.dilate(exact) & left
+            if got:
+                left ^= got
+                total += got.bit_count() * (scale // g)
+                if not left:
+                    break
+        if left:
+            return None
+        return -(-total // scale)
 
     def representatives(self, x: int, cands: int) -> tuple[int, bool]:
         """The least candidate of each orbit of the automorphisms fixing x and
@@ -323,10 +408,11 @@ class _RepairSearch:
         orbits: whether the placed words may still have a nontrivial stabilizer.
         """
         self.nodes += 1
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                self.exhausted = True
-                return
+        # read at every node: with the covering bound a node of H(10, 3)
+        # takes over a millisecond
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.exhausted = True
+            return
         part0, part1 = self.parts
         if cov0 == cov1:
             volume = len(part0)
@@ -336,14 +422,21 @@ class _RepairSearch:
                 self.allowed = volume - 1
             return
         size = self.size
+        allowed = self.allowed
         both = cov0 & cov1
-        # each part covers size vertices per word, none twice
-        shared = both.bit_count()
-        if (
-            len(part0) + (len(part1) * size - shared + size - 1) // size > self.allowed
-            or len(part1) + (len(part0) * size - shared + size - 1) // size > self.allowed
-        ):
-            return
+        # the vertices only part 0 covers, which part 1 lacks, and the reverse
+        lack1 = cov0 ^ both
+        lack0 = cov1 ^ both
+        # The covering bound can prune only when one word per lacking vertex
+        # is too many.  At or above the packing cap every completion fits,
+        # so it could cut only branches with no completion; skipping it there
+        # keeps nodes cheap until an incumbent lowers the allowed volume.
+        if allowed < self.cap:
+            for placed, lack, free in ((len(part1), lack1, free1), (len(part0), lack0, free0)):
+                if placed + lack.bit_count() > allowed:
+                    need = self.need(lack, free)
+                    if need is None or placed + need > allowed:
+                        return
         # A counted vertex without candidates ends the branch.
         regions = self.regions
         masks = regions.masks
@@ -351,10 +444,7 @@ class _RepairSearch:
         side = vertex = cands = 0
         first = None
         scanned = 0
-        for s in (1, 0):
-            # the vertices that only the other part covers
-            lack = cov0 ^ both if s else cov1 ^ both
-            free = free1 if s else free0
+        for s, lack, free in ((1, lack1, free1), (0, lack0, free0)):
             while lack and scanned < SCAN:
                 below = lack - 1
                 x = (lack ^ below).bit_length() - 1
@@ -455,13 +545,24 @@ _Move = tuple[int, int | None, int | None]  # (w, src, dst), as the module docst
 
 
 class _LocalState:
-    __slots__ = ("regions", "counts", "parts", "violated")
+    __slots__ = ("regions", "_hood", "_ids", "counts", "parts", "violated")
 
     def __init__(self, regions: _Regions) -> None:
         self.regions = regions
+        index = regions.index
+        self._hood = index.ball if regions.kind == PERFECT else index.sphere
+        self._ids: dict[int, tuple[int, ...]] = {}
         self.counts: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.parts: tuple[set[int], set[int]] = (set(), set())
         self.violated: set[int] = set()
+
+    def ids(self, x: int) -> tuple[int, ...]:
+        """x's neighbourhood as sorted ids."""
+        got = self._ids.get(x)
+        if got is None:
+            got = tuple(sorted(self._hood(self.regions.index.decode(x))))
+            self._ids[x] = got
+        return got
 
     def objective(self) -> int:
         return len(self.violated)
@@ -481,7 +582,7 @@ class _LocalState:
         else:
             self.parts[side].remove(w)
         delta = 1 if add else -1
-        for y in self.regions.ids(w):
+        for y in self.ids(w):
             c = counts.get(y, 0) + delta
             if c:
                 counts[y] = c
@@ -515,7 +616,7 @@ class _LocalState:
         get1 = counts[1].get
         part0, part1 = self.parts
         base = len(self.violated)
-        ids = self.regions.ids
+        ids = self.ids
         scored: list[tuple[int, _Move]] = []
         for w in ids(x):
             if w in part0 or w in part1:

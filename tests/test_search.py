@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -88,10 +89,31 @@ def test_budget_exhaustion_is_reported_honestly():
 
 
 def test_budget_binds_on_heavy_nodes():
-    # the deadline is read every 256 nodes, so it must stay close to the budget
+    # the deadline is read at every node, so it must stay close to the budget
     result = find_spherical(SearchConfig(HammingParams(5, 5), time_budget=1.0))
     assert not result.proven_minimum
     assert result.wall_time < 2.0
+
+
+def test_budget_holds_when_the_covering_bound_runs():
+    # once the first incumbent (216) lowers the allowed volume below the
+    # packing cap, every node of H(10, 3) runs the covering bound over
+    # 59,049-bit masks, a millisecond or more each
+    result = min_perfect_volume(SearchConfig(HammingParams(10, 3), time_budget=2.0))
+    assert not result.proven_minimum
+    assert result.volume == 216
+    assert result.wall_time < 2.5
+
+
+def test_deadline_is_read_at_every_node(monkeypatch):
+    # a clock that ticks once per reading: the deadline is tick 0 + 5, and
+    # node k reads tick k, so node 6 is the first past it
+    ticks = itertools.count()
+    clock = SimpleNamespace(monotonic=lambda: next(ticks), perf_counter=time.perf_counter)
+    monkeypatch.setattr(search_module, "time", clock)
+    result = find_spherical(SearchConfig(HammingParams(5, 5), time_budget=5))
+    assert not result.proven_minimum
+    assert result.nodes_explored == 6
 
 
 def test_budgeted_search_returns_an_early_incumbent():
@@ -208,9 +230,11 @@ def test_result_volume_property():
     assert empty.volume is None
 
 
-# Node counts recorded when the exhaustive search began branching on one
-# candidate per orbit of the automorphisms fixing the placed words and the
-# branching vertex.  Before that orbit pruning they were 18, 14, 91, 85,
+# Node counts recorded when the exhaustive search began pruning by the
+# fractional covering bound (`_RepairSearch.need`).  Before it they were 8,
+# 4, 18, 12, 102, 648 and 537,245, recorded when the search began branching
+# on one candidate per orbit of the automorphisms fixing the placed words and
+# the branching vertex.  Before that orbit pruning they were 18, 14, 91, 85,
 # 66,538 and 522,514, under the fewest-candidates rule (of up to 8
 # disagreeing vertices counted, t1's first; the first counted when none has
 # 2 or fewer), and the volume-23 refutation did not finish (volume 14 took
@@ -220,12 +244,12 @@ def test_result_volume_property():
 # changes these trees.
 PINNED_NODE_COUNTS = [
     (find_spherical, HammingParams(3, 3), None, 8),
-    (find_spherical, HammingParams(3, 3), 2, 4),
-    (min_perfect_volume, HammingParams(4, 3), None, 18),
-    (min_perfect_volume, HammingParams(4, 3), 5, 12),
-    (min_perfect_volume, HammingParams(5, 4), 8, 102),
-    (min_perfect_volume, HammingParams(5, 4), 10, 648),
-    (min_perfect_volume, HammingParams(5, 4), 23, 537_245),
+    (find_spherical, HammingParams(3, 3), 2, 1),
+    (min_perfect_volume, HammingParams(4, 3), None, 15),
+    (min_perfect_volume, HammingParams(4, 3), 5, 3),
+    (min_perfect_volume, HammingParams(5, 4), 8, 2),
+    (min_perfect_volume, HammingParams(5, 4), 10, 3),
+    (min_perfect_volume, HammingParams(5, 4), 23, 1_210),
 ]
 
 
@@ -243,11 +267,12 @@ def test_exhaustive_node_counts_are_pinned(search, params, bound, nodes):
 
 def test_unseeded_search_is_not_orbit_pruned():
     # symmetry_breaking=False turns off the orbit pruning with the seeds, so
-    # an unseeded run stays an independent check of both; 382 is its tree
-    # before the pruning existed
+    # an unseeded run stays an independent check of both; 38 is its tree
+    # under the covering bound, which is on in every run (382 before it,
+    # the tree from before the orbit pruning existed)
     result = find_spherical(SearchConfig(HammingParams(3, 3), symmetry_breaking=False))
     assert result.proven_minimum
-    assert result.nodes_explored == 382
+    assert result.nodes_explored == 38
 
 
 def _automorphisms(n, q):
@@ -294,6 +319,14 @@ def test_h54_perfect_minimum_is_four_factorial():
     assert result.volume == math.factorial(4) == lift_to_perfect(alt_bitrade(4)).volume
     for name, report in check_bitrade(result.best).items():
         assert report.passed, name
+
+
+def test_h73_has_no_perfect_bitrade_below_thirty_one():
+    # the r = 2 case of the paper's construction has volume (3!)^2 = 36;
+    # the covering bound refutes volumes up to 30 in about 14k nodes
+    result = min_perfect_volume(SearchConfig(HammingParams(7, 3), volume_upper_bound=30))
+    assert result.proven_minimum
+    assert result.best is None
 
 
 def test_h63_spherical_minimum_is_eighteen():
@@ -475,7 +508,7 @@ def test_tabu_key_undoes_its_move(kind, n, q):
         centres = [rng.randrange(q**n) for _ in range(3)]
         # random moves near a few centres, so counts pile above 1
         for _ in range(40):
-            x = rng.choice(regions.ids(rng.choice(centres)))
+            x = rng.choice(state.ids(rng.choice(centres)))
             state.apply(rng.choice(state.scored_moves(x, set()))[1])
         seen_double |= any(c > 1 for side in (0, 1) for c in state.counts[side].values())
         before = snapshot(state)
@@ -488,3 +521,27 @@ def test_tabu_key_undoes_its_move(kind, n, q):
                 assert snapshot(state) == before
                 undone += 1
     assert undone and seen_double
+
+
+# The exhaustive engine's masks against neighbourhoods built from words:
+# a vertex's region, the words a part holding it may still take (those whose
+# region misses its region), and the union of the regions of a vertex set.
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 3), (4, 4), (2, 2), (4, 2), (3, 2), (1, 3)])
+@pytest.mark.parametrize("kind", [SPHERICAL, PERFECT])
+def test_masks_equal_the_neighbourhood_definitions(kind, n, q):
+    ball = kind == PERFECT
+    regions = search_module._Regions(HammingParams(n, q), kind)
+    engine = search_module._RepairSearch(regions, 0, None)
+    full = (1 << q**n) - 1
+
+    def bits(ids):
+        return sum(1 << i for i in set(ids))
+
+    for x in range(q**n):
+        hood = _hood(x, n, q, ball)
+        assert regions.mask(x) == bits(hood)
+        assert engine.keep(x) == full ^ bits(z for y in hood for z in _hood(y, n, q, ball))
+    rng = random.Random(100 * n + q)
+    for _ in range(20):
+        xs = rng.sample(range(q**n), rng.randint(0, q**n))
+        assert engine.dilate(bits(xs)) == bits(y for x in xs for y in _hood(x, n, q, ball))

@@ -70,6 +70,14 @@ def test_golden_text():
     assert dumps_text(alt_bitrade(3)) == GOLDEN_TEXT
 
 
+@pytest.mark.parametrize("bitrade", [alt_bitrade(3), lift_to_perfect(alt_bitrade(3))], ids=["alt3", "lift3"])
+def test_written_text_reads_back_and_rewrites_unchanged(bitrade):
+    # text -> bitrade -> text is the identity on what the writers produce
+    for dumps, loads in ((dumps_json, loads_json), (dumps_text, loads_text)):
+        text = dumps(bitrade)
+        assert dumps(loads(text)) == text
+
+
 def test_document_round_trip_and_key_order():
     b = lift_to_perfect(alt_bitrade(3))
     doc = to_document(b)
