@@ -5,9 +5,9 @@ Run from the repository root:
     python scripts/minima.py > MINIMA.md
 
 Each row is settled by the exhaustive search with symmetry breaking and
-gives its node count and seconds; the H(7, 3) row takes about half a
-minute.  The minimum-volume pair found passes all four checks, and the
-named construction has the same volume.
+gives its node count and seconds; the H(7, 3) row takes about 20 s.  The
+minimum-volume pair found passes all four checks, and the named
+construction has the same volume.
 """
 
 import os

@@ -21,6 +21,11 @@ Word = tuple[int, ...]
 ENUMERATION_CEILING = 2**48
 
 
+def is_int(value: object) -> bool:
+    """Whether value is an int other than a bool (bool subclasses int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def power_text(value: int) -> str:
     """A ceiling for a refusal message: "3**10" for 59049, plain digits if not a prime power."""
     base = next((b for b in range(2, math.isqrt(value) + 1) if value % b == 0), value)
@@ -36,9 +41,9 @@ class HammingParams:
     q: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not is_int(self.n) or self.n < 1:
             raise ValueError(f"word length must be an integer >= 1, got n={self.n!r}")
-        if not isinstance(self.q, int) or self.q < 2:
+        if not is_int(self.q) or self.q < 2:
             raise ValueError(f"alphabet size must be an integer >= 2, got q={self.q!r}")
 
     @property

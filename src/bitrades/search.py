@@ -22,13 +22,11 @@ skipped below that node.  Without symmetry breaking every candidate is
 tried from every first word, which keeps an unseeded run an independent
 check of both steps.
 
-The engine counts the candidates of the first few disagreeing vertices.
-A vertex with none ends the branch at once; otherwise the node branches
-on the vertex with the fewest candidates (fewest remaining values, as in
-Knuth's Dancing Links) when that vertex has very few, and on the first
-vertex counted when none has.  A word is a candidate for a part when it
+A node branches on the least vertex that t1 lacks (that only t0 covers),
+else the least that t0 lacks.  A word is a candidate for a part when it
 is in neither part and shares no neighbour with a word of that part,
-since no vertex may be covered twice.
+since no vertex may be covered twice; a vertex without candidates ends
+the branch.
 
 Before branching, a node bounds the volume from below.  Each part must
 still cover, one new word each, the vertices that only the other part
@@ -39,8 +37,9 @@ when they cannot fit.
 
 Vertices are numbered 0..q^n-1 (first coordinate most significant).  Each
 part keeps the vertices it covers and the words it may still take as
-bitmasks, so counting a vertex's candidates is one AND and one popcount,
-and the covering bound moves whole bitmasks by shifts (``_RepairSearch``).
+bitmasks, so a vertex's candidates are one AND.  One kernel, the digit
+steps of ``_RepairSearch``, builds every neighbourhood mask and the
+covering bound's degrees by moving whole bitmasks with shifts.
 
 The local engine is a best-effort tabu walk scoring the number of violated
 vertices; it proves nothing.  A move (w, src, dst) takes word w from side
@@ -61,7 +60,7 @@ from functools import reduce
 from operator import or_
 
 from .construct import PERFECT, SPHERICAL, Bitrade, bitrade_kind
-from .hamming import HammingParams, VertexIndex, Word, power_text
+from .hamming import HammingParams, VertexIndex, Word, is_int, power_text
 from .verify import definition_check
 
 # Whole-graph exhaustive search is refused above this vertex count.
@@ -110,12 +109,14 @@ class SearchConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.volume_upper_bound is not None:
-            if not isinstance(self.volume_upper_bound, int) or self.volume_upper_bound < 0:
+            if not is_int(self.volume_upper_bound) or self.volume_upper_bound < 0:
                 raise ValueError("volume_upper_bound must be a nonnegative integer")
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise ValueError("time_budget must be positive")
+        budget = self.time_budget
+        if budget is not None:
+            if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not budget > 0:
+                raise ValueError(f"time_budget must be a positive number, got {budget!r}")
         if self.move_budget is not None:
-            if not isinstance(self.move_budget, int) or self.move_budget < 1:
+            if not is_int(self.move_budget) or self.move_budget < 1:
                 raise ValueError("move_budget must be a positive integer")
         for knob in fields(self):
             if knob.name in _UNUSED[self.mode] and getattr(self, knob.name) != knob.default:
@@ -161,63 +162,7 @@ def _run(config: SearchConfig, kind: str) -> SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# vertex numbering and neighbourhood tables
-
-
-class _Regions:
-    """Per-vertex neighbourhoods (ball or sphere) as bitmasks.
-
-    Vertex x's ball is the union of its n lines, the vertices that differ
-    from x at most at one coordinate; its sphere drops x itself.  The line
-    through 0 at coordinate i is lines[i], the ids s * q^(n-1-i); moving it
-    through x shifts it by x less x's digit i times q^(n-1-i).  One mask per
-    vertex is cached when first asked for.
-    """
-
-    __slots__ = ("params", "kind", "index", "lines", "masks")
-
-    def __init__(self, params: HammingParams, kind: str) -> None:
-        q = params.q
-        self.params = params
-        self.kind = kind
-        self.index = VertexIndex(params)
-        self.lines = tuple((w, sum(1 << s * w for s in range(q))) for w in self.index.weights)
-        self.masks: dict[int, int] = {}
-
-    @property
-    def size(self) -> int:
-        return self.params.degree + (1 if self.kind == PERFECT else 0)
-
-    def mask(self, x: int) -> int:
-        """x's neighbourhood."""
-        got = self.masks.get(x)
-        if got is None:
-            q = self.params.q
-            got = 0
-            for w, line in self.lines:
-                got |= line << (x - x // w % q * w)
-            if self.kind == SPHERICAL:
-                got ^= 1 << x
-            self.masks[x] = got
-        return got
-
-
-# ---------------------------------------------------------------------------
 # exhaustive branch and bound
-
-# Disagreeing vertices whose candidates one node counts: first those that t1
-# lacks, then those that t0 lacks.  The node branches on the one with the
-# fewest candidates when that is at most FEW, else on the first one counted.
-# Counting one part's vertices before the other's matters most: counting the
-# least disagreeing vertices of both parts together left H(4, 4) at 204k
-# nodes with 16 counted and 963k with 4, against 59k here.  Counting more than
-# 8 barely shrinks the trees, and each count costs about as much as the rest
-# of a node.  Branching on the fewest at any count cut the H(5, 4) volume-10
-# refutation from 523k to 442k nodes, but then budgeted searches of H(7, 3)
-# and H(10, 3) perfect found no bitrade in 30 s; this rule finds volumes 36
-# and 216 in under half a second.
-SCAN = 8
-FEW = 2
 
 
 def _orbit_key(placed: list[Word], x: Word, q: int) -> Callable[[Word], tuple] | None:
@@ -261,38 +206,45 @@ def _orbit_key(placed: list[Word], x: Word, q: int) -> Callable[[Word], tuple] |
 
 
 class _RepairSearch:
-    """The branch and bound over one graph, with its bitmask kernels.
+    """The branch and bound over one graph, with its bitmask kernel.
 
     Every sphere neighbour of x is x moved by one step: add d (mod q) to
     the digit of one coordinate, for d in 1..q-1.  On ids a step shifts up
     the vertices whose digit there stays below q and shifts down the rest,
-    so one step moves a whole vertex set with two ANDs and two shifts.
+    so one step moves a whole vertex set with two ANDs and two shifts.  A
+    vertex's neighbourhood (ball or sphere) is the vertex moved this way,
+    cached per vertex when first asked for.
     """
 
     __slots__ = (
-        "regions", "size", "allowed", "deadline", "full", "cap", "scale", "steps", "keeps",
-        "parts", "nodes", "exhausted", "best",
+        "params", "kind", "index", "size", "allowed", "deadline", "full", "cap", "scale",
+        "steps", "masks", "keeps", "parts", "nodes", "exhausted", "best",
     )
 
-    def __init__(self, regions: _Regions, allowed: int, deadline: float | None) -> None:
-        params = regions.params
+    def __init__(
+        self, params: HammingParams, kind: str, allowed: int | None, deadline: float | None
+    ) -> None:
         q = params.q
-        self.regions = regions
-        self.size = regions.size
-        self.allowed = allowed
+        self.params = params
+        self.kind = kind
+        self.index = VertexIndex(params)
+        self.size = params.degree + (1 if kind == PERFECT else 0)
         self.deadline = deadline
         self.full = (1 << params.vertex_count) - 1
         self.cap = params.vertex_count // self.size
+        # the largest volume still sought; None allows every volume a part can hold
+        self.allowed = self.cap if allowed is None else allowed
         self.scale = math.lcm(*range(1, self.size + 1))
         # (the ids whose digit stays below q, shift up, the rest, shift down)
         self.steps: list[tuple[int, int, int, int]] = []
-        for w in regions.index.weights:
+        for w in self.index.weights:
             # the ids whose digits from this coordinate on are all 0
             spaced = self.full // ((1 << q * w) - 1)
             for d in range(1, q):
                 low = ((1 << (q - d) * w) - 1) * spaced
                 high = (((1 << d * w) - 1) << (q - d) * w) * spaced
                 self.steps.append((low, d * w, high, (q - d) * w))
+        self.masks: dict[int, int] = {}
         self.keeps: dict[int, int] = {}
         self.parts: tuple[list[int], list[int]] = ([], [])
         self.nodes = 0
@@ -303,7 +255,7 @@ class _RepairSearch:
         """xs moved by each step, and for balls xs itself.  A vertex y lies in
         as many of them as its neighbourhood holds vertices of xs, since the
         steps are closed under inverses."""
-        if self.regions.kind == PERFECT:
+        if self.kind == PERFECT:
             yield xs
         for low, up, high, down in self.steps:
             yield (xs & low) << up | (xs & high) >> down
@@ -312,11 +264,19 @@ class _RepairSearch:
         """The union of the neighbourhoods of the vertices in xs."""
         return reduce(or_, self.moved(xs))
 
+    def mask(self, x: int) -> int:
+        """x's neighbourhood."""
+        got = self.masks.get(x)
+        if got is None:
+            got = self.dilate(1 << x)
+            self.masks[x] = got
+        return got
+
     def keep(self, w: int) -> int:
         """The words a part holding w may still take: those whose neighbourhood misses w's."""
         got = self.keeps.get(w)
         if got is None:
-            got = self.full ^ self.dilate(self.regions.mask(w))
+            got = self.full ^ self.dilate(self.mask(w))
             self.keeps[w] = got
         return got
 
@@ -367,9 +327,9 @@ class _RepairSearch:
         """The least candidate of each orbit of the automorphisms fixing x and
         the placed words, and whether that group may still be nontrivial
         below this node (see _orbit_key)."""
-        decode = self.regions.index.decode
+        decode = self.index.decode
         part0, part1 = self.parts
-        key = _orbit_key([*map(decode, part0), *map(decode, part1)], decode(x), self.regions.params.q)
+        key = _orbit_key([*map(decode, part0), *map(decode, part1)], decode(x), self.params.q)
         if key is None:
             return cands, False
         seen = set()
@@ -396,7 +356,7 @@ class _RepairSearch:
         free = [self.full, self.full]
         for side, words in ((0, t0), (1, t1)):
             for w in words:
-                cov[side] |= self.regions.mask(w)
+                cov[side] |= self.mask(w)
                 free[side] &= self.keep(w)
                 free[1 - side] &= ~(1 << w)
         self.parts = (list(t0), list(t1))
@@ -421,7 +381,6 @@ class _RepairSearch:
                 self.best = (tuple(sorted(part0)), tuple(sorted(part1)))
                 self.allowed = volume - 1
             return
-        size = self.size
         allowed = self.allowed
         both = cov0 & cov1
         # the vertices only part 0 covers, which part 1 lacks, and the reverse
@@ -437,34 +396,14 @@ class _RepairSearch:
                     need = self.need(lack, free)
                     if need is None or placed + need > allowed:
                         return
-        # A counted vertex without candidates ends the branch.
-        regions = self.regions
-        masks = regions.masks
-        fewest = size + 1
-        side = vertex = cands = 0
-        first = None
-        scanned = 0
-        for s, lack, free in ((1, lack1, free1), (0, lack0, free0)):
-            while lack and scanned < SCAN:
-                below = lack - 1
-                x = (lack ^ below).bit_length() - 1
-                lack &= below
-                c = (masks.get(x) or regions.mask(x)) & free
-                k = c.bit_count()
-                if k < fewest:
-                    if k == 0:
-                        return
-                    if first is None:
-                        first = (s, x, c)
-                    fewest, side, vertex, cands = k, s, x, c
-                    if k == 1:
-                        break
-                scanned += 1
-            if fewest == 1 or scanned == SCAN:
-                break
-        if fewest > FEW:
-            side, vertex, cands = first
-        if orbits and fewest > 1:
+        # Branch on the least vertex t1 lacks, else the least t0 lacks.
+        side, lack, free = (1, lack1, free1) if lack1 else (0, lack0, free0)
+        vertex = (lack & -lack).bit_length() - 1
+        masks = self.masks
+        cands = (masks.get(vertex) or self.mask(vertex)) & free
+        if not cands:
+            return
+        if orbits and cands & (cands - 1):
             cands, orbits = self.representatives(vertex, cands)
         part = self.parts[side]
         keeps = self.keeps
@@ -472,7 +411,7 @@ class _RepairSearch:
             below = cands - 1
             w = (cands ^ below).bit_length() - 1
             cands &= below
-            m = masks.get(w) or regions.mask(w)
+            m = masks.get(w) or self.mask(w)
             keep = keeps.get(w) or self.keep(w)
             part.append(w)
             if side:
@@ -493,13 +432,8 @@ def _exhaustive(config: SearchConfig, kind: str) -> SearchResult:
             f"H({params.n}, {params.q}) refused; "
             f"the ceiling is {power_text(EXHAUSTIVE_CEILING)}"
         )
-    regions = _Regions(params, kind)
-    if config.volume_upper_bound is not None:
-        allowed = config.volume_upper_bound
-    else:
-        allowed = total // regions.size
     deadline = None if config.time_budget is None else time.monotonic() + config.time_budget
-    engine = _RepairSearch(regions, allowed, deadline)
+    engine = _RepairSearch(params, kind, config.volume_upper_bound, deadline)
 
     if config.symmetry_breaking:
         # Translations put some t0 word at 0; for the perfect kind the
@@ -509,7 +443,7 @@ def _exhaustive(config: SearchConfig, kind: str) -> SearchResult:
         seeds = [((w,), ()) for w in range(total)]
 
     started = time.perf_counter()
-    depth_needed = 2 * (total // regions.size) + 100
+    depth_needed = 2 * engine.cap + 100
     old_limit = sys.getrecursionlimit()
     if depth_needed > old_limit:
         sys.setrecursionlimit(depth_needed)
@@ -520,19 +454,19 @@ def _exhaustive(config: SearchConfig, kind: str) -> SearchResult:
                 break
     finally:
         sys.setrecursionlimit(old_limit)
-    return _result(regions, engine.best, not engine.exhausted, engine.nodes, started)
+    return _result(params, kind, engine.best, not engine.exhausted, engine.nodes, started)
 
 
 def _result(
-    regions: _Regions, best_ids: tuple[tuple[int, ...], tuple[int, ...]] | None,
+    params: HammingParams, kind: str, best_ids: tuple[tuple[int, ...], tuple[int, ...]] | None,
     proven: bool, nodes: int, started: float,
 ) -> SearchResult:
     """Both engines' exit: decode the best id pair, self-check it and wrap it."""
     wall = time.perf_counter() - started
     best = None
     if best_ids is not None:
-        t0, t1 = (frozenset(map(regions.index.decode, ids)) for ids in best_ids)
-        best = Bitrade(regions.params, regions.kind, t0, t1)
+        decode = VertexIndex(params).decode
+        best = Bitrade(params, kind, *(frozenset(map(decode, ids)) for ids in best_ids))
         if not definition_check(best.params, best.kind, best.t0, best.t1).passed:
             raise RuntimeError("internal error: search produced an invalid bitrade")
     return SearchResult(best, proven, nodes, wall)
@@ -545,12 +479,11 @@ _Move = tuple[int, int | None, int | None]  # (w, src, dst), as the module docst
 
 
 class _LocalState:
-    __slots__ = ("regions", "_hood", "_ids", "counts", "parts", "violated")
+    __slots__ = ("index", "_hood", "_ids", "counts", "parts", "violated")
 
-    def __init__(self, regions: _Regions) -> None:
-        self.regions = regions
-        index = regions.index
-        self._hood = index.ball if regions.kind == PERFECT else index.sphere
+    def __init__(self, params: HammingParams, kind: str) -> None:
+        self.index = VertexIndex(params)
+        self._hood = self.index.ball if kind == PERFECT else self.index.sphere
         self._ids: dict[int, tuple[int, ...]] = {}
         self.counts: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self.parts: tuple[set[int], set[int]] = (set(), set())
@@ -560,7 +493,7 @@ class _LocalState:
         """x's neighbourhood as sorted ids."""
         got = self._ids.get(x)
         if got is None:
-            got = tuple(sorted(self._hood(self.regions.index.decode(x))))
+            got = tuple(sorted(self._hood(self.index.decode(x))))
             self._ids[x] = got
         return got
 
@@ -654,13 +587,12 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
     if config.start is not None:
         if config.start.params != params or config.start.kind != kind:
             raise ValueError("start bitrade does not match the search parameters")
-    regions = _Regions(params, kind)
     rng = random.Random(config.seed)
     total = params.vertex_count
     budget = LOCAL_TIME_BUDGET if config.time_budget is None else config.time_budget
     deadline = time.monotonic() + budget
 
-    state = _LocalState(regions)
+    state = _LocalState(params, kind)
     tabu: deque[_Move] = deque(maxlen=TABU_LENGTH)
     pinned: set[int] = set()
     best_ids: tuple[tuple[int, ...], tuple[int, ...]] | None = None
@@ -677,7 +609,7 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
         if start is not None:
             for side, words in ((0, start.t0), (1, start.t1)):
                 for word in words:
-                    state.toggle(regions.index.encode(word), side, True)
+                    state.toggle(state.index.encode(word), side, True)
             if state.parts[0]:
                 pinned.add(min(state.parts[0]))
         else:
@@ -723,4 +655,4 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
             stagnation += 1
             if stagnation > STAGNATION_LIMIT:
                 restart()
-    return _result(regions, best_ids, False, moves, started)
+    return _result(params, kind, best_ids, False, moves, started)

@@ -48,6 +48,8 @@ def test_params_validation():
         HammingParams(3, 1)
     with pytest.raises(ValueError):
         HammingParams(3, True)
+    with pytest.raises(ValueError):
+        HammingParams(True, 3)
 
 
 def test_params_contains():

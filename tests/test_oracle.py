@@ -139,9 +139,8 @@ def test_covering_bound_never_exceeds_the_fewest_words_a_completion_adds(kind, n
     # pinned, and it reports no completion only when there is none.
     ball = kind == PERFECT
     params = HammingParams(n, q)
-    regions = search_module._Regions(params, kind)
-    engine = search_module._RepairSearch(regions, params.vertex_count, None)
-    encode = regions.index.encode
+    engine = search_module._RepairSearch(params, kind, params.vertex_count, None)
+    encode = engine.index.encode
     words = list(itertools.product(range(q), repeat=n))
     rng = random.Random(10 * n + q)
     beats_packing = tight = ended = 0
@@ -176,5 +175,5 @@ def test_covering_bound_never_exceeds_the_fewest_words_a_completion_adds(kind, n
                 fewest = found[0] - len(parts[side])
                 assert need <= fewest, "the bound exceeds the words a completion adds"
                 tight += need == fewest
-            beats_packing += need > -(-lack.bit_count() // regions.size)
+            beats_packing += need > -(-lack.bit_count() // engine.size)
     assert beats_packing and tight and ended

@@ -116,11 +116,16 @@ def test_deadline_is_read_at_every_node(monkeypatch):
     assert result.nodes_explored == 6
 
 
-def test_budgeted_search_returns_an_early_incumbent():
-    # branching on the fewest candidates at any count finds nothing here in 30 s
-    result = min_perfect_volume(SearchConfig(HammingParams(7, 3), time_budget=2.0))
+# The paper's perfect bitrades of volume (q!)^r: (3!)^2 = 36 in H(7, 3) and
+# 5! = 120 in H(6, 5); a budgeted run returns one long before any proof.
+@pytest.mark.parametrize("n,q,budget,built", [
+    (7, 3, 2.0, lift_to_perfect(tensor_power(alt_bitrade(3), 2))),
+    (6, 5, 1.0, lift_to_perfect(alt_bitrade(5))),
+], ids=["H7_3", "H6_5"])
+def test_budgeted_search_returns_an_early_incumbent(n, q, budget, built):
+    result = min_perfect_volume(SearchConfig(HammingParams(n, q), time_budget=budget))
     assert not result.proven_minimum
-    assert result.volume == lift_to_perfect(tensor_power(alt_bitrade(3), 2)).volume == 36
+    assert result.volume == built.volume == math.factorial(q) ** ((n - 1) // q)
     assert check_bitrade(result.best, ["definition"])["definition"].passed
 
 
@@ -169,6 +174,14 @@ def test_config_validation():
         SearchConfig(p, time_budget=0)
     with pytest.raises(ValueError, match="move_budget"):
         SearchConfig(p, move_budget=0)
+    # bool subclasses int, so True would run as 1
+    with pytest.raises(ValueError, match="volume_upper_bound"):
+        SearchConfig(p, volume_upper_bound=True)
+    with pytest.raises(ValueError, match="move_budget"):
+        SearchConfig(p, mode="local", move_budget=True)
+    for budget in ("5", True):
+        with pytest.raises(ValueError, match="time_budget"):
+            SearchConfig(p, time_budget=budget)
 
 
 def test_upper_bound_zero_means_nothing_fits():
@@ -230,8 +243,11 @@ def test_result_volume_property():
     assert empty.volume is None
 
 
-# Node counts recorded when the exhaustive search began pruning by the
-# fractional covering bound (`_RepairSearch.need`).  Before it they were 8,
+# Node counts recorded when the exhaustive search began branching on the
+# least vertex t1 lacks, else the least t0 lacks, in place of the
+# fewest-candidates rule below.  Only the volume-23 refutation moved; it took
+# 1,210 nodes under that rule, recorded when the search began pruning by the
+# fractional covering bound (`_RepairSearch.need`).  Before the bound they were 8,
 # 4, 18, 12, 102, 648 and 537,245, recorded when the search began branching
 # on one candidate per orbit of the automorphisms fixing the placed words and
 # the branching vertex.  Before that orbit pruning they were 18, 14, 91, 85,
@@ -249,7 +265,7 @@ PINNED_NODE_COUNTS = [
     (min_perfect_volume, HammingParams(4, 3), 5, 3),
     (min_perfect_volume, HammingParams(5, 4), 8, 2),
     (min_perfect_volume, HammingParams(5, 4), 10, 3),
-    (min_perfect_volume, HammingParams(5, 4), 23, 1_210),
+    (min_perfect_volume, HammingParams(5, 4), 23, 1_570),
 ]
 
 
@@ -323,7 +339,7 @@ def test_h54_perfect_minimum_is_four_factorial():
 
 def test_h73_has_no_perfect_bitrade_below_thirty_one():
     # the r = 2 case of the paper's construction has volume (3!)^2 = 36;
-    # the covering bound refutes volumes up to 30 in about 14k nodes
+    # the covering bound refutes volumes up to 30 in about 10k nodes
     result = min_perfect_volume(SearchConfig(HammingParams(7, 3), volume_upper_bound=30))
     assert result.proven_minimum
     assert result.best is None
@@ -462,7 +478,7 @@ def test_move_scores_equal_a_recount(kind, n, q):
     seen_double = seen_pinned = False
     for seed in range(3):
         rng = random.Random(1000 * n + 10 * q + seed)
-        state = search_module._LocalState(search_module._Regions(HammingParams(n, q), kind))
+        state = search_module._LocalState(HammingParams(n, q), kind)
         centres = [rng.randrange(q**n) for _ in range(3)]
         # random toggles near a few centres, so counts pile above 1
         for _ in range(40):
@@ -494,7 +510,7 @@ def test_move_scores_equal_a_recount(kind, n, q):
     (SPHERICAL, 3, 3), (SPHERICAL, 5, 5), (PERFECT, 4, 3), (PERFECT, 7, 3),
 ])
 def test_tabu_key_undoes_its_move(kind, n, q):
-    regions = search_module._Regions(HammingParams(n, q), kind)
+    params = HammingParams(n, q)
 
     def snapshot(state):
         counts = tuple(dict(c) for c in state.counts)
@@ -504,7 +520,7 @@ def test_tabu_key_undoes_its_move(kind, n, q):
     seen_double = False
     for seed in range(3):
         rng = random.Random(1000 * n + 10 * q + seed)
-        state = search_module._LocalState(regions)
+        state = search_module._LocalState(params, kind)
         centres = [rng.randrange(q**n) for _ in range(3)]
         # random moves near a few centres, so counts pile above 1
         for _ in range(40):
@@ -530,8 +546,7 @@ def test_tabu_key_undoes_its_move(kind, n, q):
 @pytest.mark.parametrize("kind", [SPHERICAL, PERFECT])
 def test_masks_equal_the_neighbourhood_definitions(kind, n, q):
     ball = kind == PERFECT
-    regions = search_module._Regions(HammingParams(n, q), kind)
-    engine = search_module._RepairSearch(regions, 0, None)
+    engine = search_module._RepairSearch(HammingParams(n, q), kind, 0, None)
     full = (1 << q**n) - 1
 
     def bits(ids):
@@ -539,7 +554,7 @@ def test_masks_equal_the_neighbourhood_definitions(kind, n, q):
 
     for x in range(q**n):
         hood = _hood(x, n, q, ball)
-        assert regions.mask(x) == bits(hood)
+        assert engine.mask(x) == bits(hood)
         assert engine.keep(x) == full ^ bits(z for y in hood for z in _hood(y, n, q, ball))
     rng = random.Random(100 * n + q)
     for _ in range(20):
