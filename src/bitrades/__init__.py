@@ -58,7 +58,6 @@ from .verify import (
     dist2_count_check,
     dist2_pair_check,
     eigen_check,
-    min_distance_check,
 )
 
 __version__ = "0.1.0"
@@ -103,7 +102,6 @@ __all__ = [
     "loads_text",
     "mds_bitrade",
     "min_distance",
-    "min_distance_check",
     "min_perfect_volume",
     "rs_mds_code",
     "save_bitrade",

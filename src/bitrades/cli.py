@@ -16,12 +16,12 @@ from .construct import (
     bitrade_kind,
     lift_to_perfect,
     mds_bitrade,
-    tensor_combine,
+    tensor_power,
 )
 from .hamming import Code, HammingParams, code_distance, min_distance
-from .search import SearchConfig, find_spherical, min_perfect_volume
+from .search import MODES, SearchConfig, find_spherical, min_perfect_volume
 from .serialize import dumps_json, dumps_text, load_bitrade, save_bitrade
-from .verify import CHECKS, check_bitrade, definition_check
+from .verify import CHECKS, check_bitrade
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,6 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     construct.add_argument("--out", default=None, help="output file (default stdout)")
     construct.add_argument("--format", choices=("json", "text"), default="json")
+    construct.set_defaults(handler=_cmd_construct)
 
     verify = sub.add_parser("verify", help="verify a bitrade file")
     verify.add_argument("--in", dest="path", required=True, help="bitrade file")
@@ -52,27 +53,23 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"comma-separated subset of {','.join(CHECKS)}, or all",
     )
+    verify.set_defaults(handler=_cmd_verify)
 
     search = sub.add_parser("search", help="search for a minimum-volume bitrade")
     search.add_argument("--n", type=int, required=True)
     search.add_argument("--q", type=int, required=True)
-    search.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
+    search.add_argument("--mode", choices=MODES, default="exhaustive")
     search.add_argument("--upper-bound", dest="upper_bound", type=int, default=None)
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--budget", type=float, default=None, help="seconds")
     search.add_argument("--out", default=None, help="save the best bitrade here")
+    search.set_defaults(handler=_cmd_search)
 
     info = sub.add_parser("info", help="summarize a bitrade file")
     info.add_argument("--in", dest="path", required=True, help="bitrade file")
+    info.set_defaults(handler=_cmd_info)
 
     return parser
-
-
-def _checked(b: Bitrade) -> Bitrade:
-    report = definition_check(b.params, b.kind, b.t0, b.t1)
-    if not report.passed:
-        raise RuntimeError("internal error: a construction produced an invalid bitrade")
-    return b
 
 
 def _build(args: argparse.Namespace) -> Bitrade:
@@ -86,30 +83,22 @@ def _build(args: argparse.Namespace) -> Bitrade:
         return alt_bitrade(args.q)
     if args.construction == "mds":
         return mds_bitrade(args.q, args.variant or "swap")
-    # tensor and lift verify every combine input, trusting nothing
-    base = _checked(alt_bitrade(args.q))
-    out = base
-    for _ in range(args.r - 1):
-        out = _checked(tensor_combine(out, base))
-    if args.construction == "lift":
-        return lift_to_perfect(out)
-    return out
+    out = tensor_power(alt_bitrade(args.q), args.r)
+    return lift_to_perfect(out) if args.construction == "lift" else out
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     b = _build(args)
-    payload = dumps_json(b) if args.format == "json" else dumps_text(b)
     summary = (
         f"{args.construction} bitrade in H({b.params.n}, {b.params.q}): "
         f"kind {b.kind}, volume {b.volume}"
     )
     if args.out:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(payload)
+        save_bitrade(b, args.out, args.format)
         print(summary)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(dumps_json(b) if args.format == "json" else dumps_text(b))
         print(summary, file=sys.stderr)
     return 0
 
@@ -185,14 +174,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "search": _cmd_search,
-    "info": _cmd_info,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -201,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         code = stop.code
         return code if isinstance(code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

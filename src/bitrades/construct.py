@@ -139,8 +139,6 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
     translate of itself by a sum-zero shift outside the code: q^(q-2)
     words per part.
     """
-    if not isinstance(q, int) or q < 3:
-        raise ValueError(f"the weighted-check bitrade needs an integer q >= 3, got {q!r}")
     field = build_field(q)
     base = rs_mds_code(field, q)
     params = HammingParams(q, q)
@@ -185,7 +183,7 @@ def tensor_combine(a: Bitrade, b: Bitrade) -> Bitrade:
     pairs the second, so the volume is twice the product of the input
     volumes.  Inputs are taken on trust: combining pairs that are not
     actually spherical bitrades yields garbage, so callers holding
-    unverified data should verify first (the command-line tool does).
+    unverified data should verify first.
     """
     if a.params.q != b.params.q:
         raise ValueError(

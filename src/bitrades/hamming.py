@@ -13,7 +13,7 @@ import itertools
 import math
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
-from operator import getitem, itemgetter, mul, ne
+from operator import getitem, is_, itemgetter, mul, ne
 
 Word = tuple[int, ...]
 
@@ -59,9 +59,10 @@ class HammingParams:
         return [self.degree - self.q * i for i in range(self.n + 1)]
 
     def contains(self, word: Word) -> bool:
+        """Whether word has n symbols in range(q), each exactly an int: a bool would not read back."""
         return (
             len(word) == self.n
-            and all(map(isinstance, word, itertools.repeat(int)))
+            and all(map(is_, map(type, word), itertools.repeat(int)))
             and 0 <= min(word)
             and max(word) < self.q
         )
@@ -75,9 +76,9 @@ class HammingParams:
         symbols = itertools.chain.from_iterable
         if not isinstance(words, Collection):
             words = list(words)  # the passes below would each consume an iterator
-        if all(map(self.n.__eq__, map(len, words))) and all(
-            issubclass(t, int) for t in set(map(type, symbols(words)))
-        ):
+        if all(map(self.n.__eq__, map(len, words))) and set(
+            map(type, symbols(words))
+        ) <= {int}:
             values = set(symbols(words))  # only ints, so one per distinct symbol
             if not values or (min(values) >= 0 and max(values) < self.q):
                 return
@@ -98,12 +99,6 @@ class Code:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
-
-    def __contains__(self, word: object) -> bool:
-        return word in self.words
 
 
 # ---------------------------------------------------------------------------

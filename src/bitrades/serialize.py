@@ -43,12 +43,7 @@ def from_document(doc: object) -> Bitrade:
     for key in ("n", "q", "kind", "t0", "t1"):
         if key not in doc:
             raise ValueError(f"missing key {key!r}")
-    n, q, kind = doc["n"], doc["q"], doc["kind"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if not isinstance(q, int) or isinstance(q, bool):
-        raise ValueError(f"q must be an integer, got {q!r}")
-    params = HammingParams(n, q)
+    params = HammingParams(doc["n"], doc["q"])
     parts = []
     for key in ("t0", "t1"):
         raw = doc[key]
@@ -64,7 +59,7 @@ def from_document(doc: object) -> Bitrade:
         if len(set(words)) != len(words):
             raise ValueError(f"duplicate word in {key}")
         parts.append(frozenset(words))
-    return Bitrade(params, kind, parts[0], parts[1])
+    return Bitrade(params, doc["kind"], parts[0], parts[1])
 
 
 def dumps_json(b: Bitrade) -> str:
@@ -85,7 +80,7 @@ def dumps_json(b: Bitrade) -> str:
 def loads_json(text: str) -> Bitrade:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"invalid JSON: {e}") from e
     return from_document(doc)
 

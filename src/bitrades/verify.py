@@ -35,7 +35,7 @@ WITNESS_LIMIT = 10
 # mds_bitrade(8, "coset") needs 28 * 2**19.
 FACE_WORK_CEILING = 2**25
 
-CRITERIA = ("definition", "eigen", "dist2count", "delsarte", "mindist")
+CRITERIA = ("definition", "eigen", "dist2count", "delsarte")
 
 # the checks check_bitrade runs, in the order it runs them
 CHECKS = ("definition", "eigen", "dist2", "delsarte")
@@ -190,25 +190,6 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
 # distance profile
 
 
-def min_distance_check(
-    params: HammingParams, t0: Iterable[Word], t1: Iterable[Word]
-) -> VerificationReport:
-    """Both parts must have minimum distance exactly 3.
-
-    An empty pair passes trivially; a single-word part fails because its
-    minimum distance is undefined (+inf).
-    """
-    set0, set1 = frozenset(t0), frozenset(t1)
-    if not set0 and not set1:
-        return _report("mindist", [], {"trivial": True})
-    failures: list[tuple] = []
-    for name, part in (("t0", set0), ("t1", set1)):
-        d = min_distance(Code(params, part))
-        if d != 3:
-            failures.append(("min_distance", name, d, 3))
-    return _report("mindist", failures, {})
-
-
 def dist2_pair_check(
     params: HammingParams, kind: str, t0: Iterable[Word], t1: Iterable[Word]
 ) -> VerificationReport:
@@ -230,10 +211,15 @@ def dist2_pair_check(
     if not set0 and not set1:
         return _report("dist2count", [], {"trivial": True})
 
-    failures = list(min_distance_check(params, set0, set1).witnesses)
+    codes = Code(params, set0), Code(params, set1)
+    failures: list[tuple] = [
+        ("min_distance", name, d, 3)
+        for name, d in zip(("t0", "t1"), map(min_distance, codes))
+        if d != 3
+    ]
     if kind == SPHERICAL:
         expected_pairs = (q - 1) * n // 2
-        cross = code_distance(Code(params, set0), Code(params, set1))
+        cross = code_distance(*codes)
         if cross != 2:
             failures.append(("part_distance", cross, 2))
         details = {"expected_distance2": expected_pairs}

@@ -7,6 +7,7 @@ from math import comb
 
 from bitrades import (
     Bitrade,
+    Code,
     HammingParams,
     PERFECT,
     SPHERICAL,
@@ -17,7 +18,7 @@ from bitrades import (
     dist2_pair_check,
     eigen_check,
     hamming_distance,
-    min_distance_check,
+    min_distance,
 )
 from bitrades.hamming import VertexIndex
 from bitrades.verify import WITNESS_LIMIT
@@ -142,9 +143,9 @@ def characterization_votes(params, kind, t0, t1) -> tuple[bool, bool, bool]:
     eigenvalue = 0 if kind == SPHERICAL else -1
     f = signed_function(params, t0, t1)
     by_definition = definition_check(params, kind, t0, t1).passed
-    by_eigen = (
-        eigen_check(f, eigenvalue).passed
-        and min_distance_check(params, t0, t1).passed
+    # an empty pair is trivially a bitrade; otherwise both parts need distance 3
+    by_eigen = eigen_check(f, eigenvalue).passed and (
+        not (t0 or t1) or all(min_distance(Code(params, frozenset(t))) == 3 for t in (t0, t1))
     )
     by_profile = dist2_pair_check(params, kind, t0, t1).passed
     return by_definition, by_eigen, by_profile

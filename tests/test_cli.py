@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bitrades import alt_bitrade, check_bitrade, lift_to_perfect
+from bitrades import alt_bitrade, check_bitrade, lift_to_perfect, tensor_power
 from bitrades.cli import main
 from bitrades.serialize import dumps_json, load_bitrade, loads_json, save_bitrade
 
@@ -43,6 +43,13 @@ def test_construct_lift_volume(capsys):
     assert b.params.n == 7
     assert b.volume == 36
     assert "volume 36" in err
+
+
+def test_construct_tensor(capsys):
+    assert main(["construct", "--construction", "tensor", "--q", "3", "--r", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert loads_json(out) == tensor_power(alt_bitrade(3), 2)
+    assert "tensor bitrade in H(6, 3): kind spherical, volume 18" in err
 
 
 def test_construct_mds_defaults_to_swap(capsys):
@@ -117,6 +124,24 @@ def test_verify_unknown_check(tmp_path, capsys):
     assert "unknown check 'parity'" in err
 
 
+def test_verify_refuses_an_empty_check_list(tmp_path, capsys):
+    path = tmp_path / "alt.json"
+    save_bitrade(alt_bitrade(3), path)
+    assert main(["verify", "--in", str(path), "--checks", ","]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: --checks must name at least one check" in err
+
+
+def test_verify_refuses_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"x": ' + "[" * 200_000)
+    assert main(["verify", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+
+
 def test_verify_missing_file(capsys):
     assert main(["verify", "--in", "/nonexistent/bitrade.json"]) == 2
     _, err = capsys.readouterr()
@@ -168,7 +193,7 @@ def test_search_exhaustive_mode_refuses_seed(capsys):
 
 def test_search_local_mode(capsys):
     code = main([
-        "search", "--n", "3", "--q", "3", "--mode", "local", "--budget", "5",
+        "search", "--n", "3", "--q", "3", "--mode", "local", "--budget", "0.5",
     ])
     assert code == 0
     out, _ = capsys.readouterr()

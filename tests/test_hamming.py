@@ -58,6 +58,10 @@ def test_params_contains():
     assert not p.contains((0, 1))
     assert not p.contains((0, 1, 3))
     assert not p.contains((0, 1, 2.0))
+    # a bool would be written as false/true or False/True, which neither file format reads
+    assert not p.contains((False, True, 2))
+    with pytest.raises(ValueError, match=r"\(0, True, 2\) is not a word"):
+        p.check_words([(0, 1, 2), (0, True, 2)])
     with pytest.raises(ValueError):
         p.check_word((0, 1, 3))
 

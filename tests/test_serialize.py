@@ -128,6 +128,12 @@ def test_document_rejects_bad_words():
     nested["t0"] = [[0, 1, [2]]]
     with pytest.raises(ValueError):
         from_document(nested)
+    for flat in ("t0", 3, {"0": [0, 1, 2]}):
+        with pytest.raises(ValueError, match="t0 must be an array of words"):
+            from_document({**good, "t0": flat})
+    # JSON true and false are not symbols, even though bool subclasses int
+    with pytest.raises(ValueError, match="every word in t1 must be an array of integers"):
+        from_document({**good, "t1": [[False, True, 2]]})
 
 
 def test_document_accepts_unequal_parts():

@@ -1,5 +1,6 @@
 """Verification checks, cross-validated against a dense adjacency matrix."""
 
+import math
 import random
 import time
 import tracemalloc
@@ -25,9 +26,11 @@ from bitrades import (
     HammingParams,
     PERFECT,
     SPHERICAL,
+    ParityCheckCode,
     SignedFunction,
     VerificationReport,
     alt_bitrade,
+    build_field,
     check_bitrade,
     definition_check,
     delsarte_face_check,
@@ -37,13 +40,10 @@ from bitrades import (
     eigen_check,
     lift_to_perfect,
     mds_bitrade,
-    min_distance_check,
     tensor_combine,
     tensor_power,
 )
-from bitrades.fields import build_field
 from bitrades.hamming import all_words, hamming_distance
-from bitrades.linear import ParityCheckCode
 from bitrades.verify import WITNESS_LIMIT
 
 
@@ -256,13 +256,18 @@ def test_report_invariants_enforced():
     assert ok.passed
 
 
-def test_min_distance_check():
+def test_dist2_reports_each_part_minimum_distance():
     b = alt_bitrade(3)
-    assert min_distance_check(b.params, b.t0, b.t1).passed
+    assert dist2_pair_check(b.params, b.kind, b.t0, b.t1).passed
     # a singleton part has no pairwise distance, reported as infinite
-    report = min_distance_check(b.params, frozenset({(0, 0, 0)}), frozenset())
-    assert not report.passed
-    assert min_distance_check(b.params, frozenset(), frozenset()).passed
+    report = dist2_pair_check(b.params, SPHERICAL, frozenset({(0, 0, 0)}), frozenset())
+    assert ("min_distance", "t0", math.inf, 3) in report.witnesses
+    assert ("min_distance", "t1", math.inf, 3) in report.witnesses
+    # a part at distance 4 is no bitrade part either
+    far = frozenset({(0, 0, 0, 0), (1, 1, 1, 1)})
+    near = frozenset({(0, 1, 2, 3), (1, 2, 3, 3)})
+    report = dist2_pair_check(HammingParams(4, 4), SPHERICAL, far, near)
+    assert [w for w in report.witnesses if w[0] == "min_distance"] == [("min_distance", "t0", 4, 3)]
 
 
 def test_min_distance_check_fails_a_large_distance_four_part():
@@ -272,9 +277,24 @@ def test_min_distance_check_fails_a_large_distance_four_part():
     words = frozenset(ParityCheckCode(f, 8, rows).words())
     assert len(words) > 20000
     other = frozenset({(1, 1, 1) + (0,) * 5, (2, 2, 2) + (0,) * 5})
-    report = min_distance_check(HammingParams(8, 8), words, other)
+    report = dist2_pair_check(HammingParams(8, 8), SPHERICAL, words, other)
     assert not report.passed
-    assert report.witnesses == (("min_distance", "t0", 4, 3),)
+    # each word misses its distance-2 count and the parts sit at distance 1;
+    # the one further failure is t0's minimum distance, 4 rather than 3
+    assert report.failure_count == len(words) + len(other) + 2
+
+
+def test_checks_refuse_bad_arguments():
+    b = alt_bitrade(3)
+    for check in (definition_check, dist2_pair_check):
+        with pytest.raises(ValueError, match="kind must be 'spherical' or 'perfect'"):
+            check(b.params, "orbital", b.t0, b.t1)
+    with pytest.raises(ValueError, match="parts must be disjoint"):
+        definition_check(b.params, SPHERICAL, b.t0, b.t0 | b.t1)
+    f = signed_function(b.params, b.t0, b.t1)
+    for m in (0, 5, 2.0):
+        with pytest.raises(ValueError, match=r"face-sum order m must be in 1\.\.4"):
+            delsarte_face_check(f, m)
 
 
 def test_dist2_profile_spherical():
