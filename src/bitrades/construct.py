@@ -13,15 +13,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .fields import build_field
-from .hamming import HammingParams, Word
+from .hamming import HammingParams, Word, power_text
 from .linear import coset, rs_mds_code
 
 SPHERICAL = "spherical"
 PERFECT = "perfect"
 KINDS = (SPHERICAL, PERFECT)
+
+# A construction whose parts would hold more words each than this is refused
+# before it enumerates any (alt_bitrade(9) has 181,440 and builds in seconds).
+CONSTRUCTION_CEILING = 2**19
 
 
 # kind: (what n must be, the eigenvalue, when H(n, q) has that eigenvalue)
@@ -100,6 +105,19 @@ class Bitrade:
 # constructions
 
 
+def _refuse_above_ceiling(what: str, factors: Iterable[int]) -> None:
+    """Raise ValueError when the volume, the product of factors, passes
+    CONSTRUCTION_CEILING; the product stops growing once it does."""
+    volume = 1
+    for factor in factors:
+        volume *= factor
+        if volume > CONSTRUCTION_CEILING:
+            raise ValueError(
+                f"{what} would put more than {power_text(CONSTRUCTION_CEILING)} words "
+                f"in each part; refused above that construction ceiling"
+            )
+
+
 def _is_even(word: Word) -> bool:
     inversions = sum(
         1
@@ -119,6 +137,8 @@ def alt_bitrade(q: int) -> Bitrade:
     """
     if not isinstance(q, int) or q < 3:
         raise ValueError(f"the permutation bitrade needs an integer q >= 3, got {q!r}")
+    # q!/2 = 3 * 4 * ... * q
+    _refuse_above_ceiling(f"alt_bitrade({q})", range(3, q + 1))
     even, odd = [], []
     for word in itertools.permutations(range(q)):
         (even if _is_even(word) else odd).append(word)
@@ -146,6 +166,7 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
     if variant == "swap":
         if shift is not None:
             raise ValueError("shift only applies to the coset variant")
+        _refuse_above_ceiling(f"mds_bitrade({q}, 'swap')", (q - 1, *[q] * (q - 3)))
         t0 = [w for w in base.words() if w[0] != w[1]]
         t1 = [(w[1], w[0]) + w[2:] for w in t0]
         if not t0:
@@ -170,6 +191,7 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
                 f"the coset shift {shift!r} lies in the base code, so the translate "
                 f"coincides with it and the trade would be empty"
             )
+        _refuse_above_ceiling(f"mds_bitrade({q}, 'coset')", [q] * (q - 2))
         code = base.to_code()
         return Bitrade(params, SPHERICAL, code.words, coset(field, code, shift).words)
 
@@ -191,6 +213,9 @@ def tensor_combine(a: Bitrade, b: Bitrade) -> Bitrade:
         )
     if a.kind != SPHERICAL or b.kind != SPHERICAL:
         raise ValueError("only spherical bitrades combine; lift afterwards instead")
+    _refuse_above_ceiling(
+        f"combining volumes {a.volume} and {b.volume}", (2, a.volume, b.volume)
+    )
     t0 = {x + y for x in a.t0 for y in b.t0} | {x + y for x in a.t1 for y in b.t1}
     t1 = {x + y for x in a.t0 for y in b.t1} | {x + y for x in a.t1 for y in b.t0}
     params = HammingParams(a.params.n + b.params.n, a.params.q)
@@ -201,6 +226,11 @@ def tensor_power(b: Bitrade, r: int) -> Bitrade:
     """The r-fold tensor_combine of a spherical bitrade with itself."""
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"tensor power needs an integer r >= 1, got {r!r}")
+    # checked before the first combine: volume 2^(r-1) v^r
+    _refuse_above_ceiling(
+        f"the {r}-fold tensor power of a volume-{b.volume} bitrade",
+        itertools.chain((b.volume,), itertools.repeat(2 * b.volume, r - 1)),
+    )
     return functools.reduce(tensor_combine, [b] * (r - 1), b)
 
 
@@ -213,6 +243,7 @@ def lift_to_perfect(b: Bitrade) -> Bitrade:
     """
     if b.kind != SPHERICAL:
         raise ValueError(f"can only lift spherical bitrades, got kind {b.kind!r}")
+    _refuse_above_ceiling(f"lifting a volume-{b.volume} bitrade", (2, b.volume))
     t0 = {w + (0,) for w in b.t0} | {w + (1,) for w in b.t1}
     t1 = {w + (1,) for w in b.t0} | {w + (0,) for w in b.t1}
     params = HammingParams(b.params.n + 1, b.params.q)

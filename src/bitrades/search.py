@@ -45,6 +45,12 @@ The local engine is a best-effort tabu walk scoring the number of violated
 vertices; it proves nothing.  A move (w, src, dst) takes word w from side
 src to side dst, a side being 0, 1 or None for neither part: adding is
 (w, None, s), removing (w, s, None) and moving (w, s, 1 - s); (w, dst, src) undoes it.
+The walk keeps one state code per covered vertex, a + k*b for a vertex
+covered a times by part 0 and b times by part 1, in a dict as sparse as the
+parts.  Two tables indexed by code, built once per walk, say whether the
+vertex is violated and what each of the six moves would change there,
+packed into one int (``_LocalState``).  So a word's two moves are scored by
+one sum of table entries over its neighbourhood, one lookup per vertex.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
 from functools import reduce
+from itertools import repeat
 from operator import or_
 
 from .construct import PERFECT, SPHERICAL, Bitrade, bitrade_kind
@@ -69,6 +76,9 @@ EXHAUSTIVE_CEILING = 3**10
 LOCAL_TIME_BUDGET = 60.0
 TABU_LENGTH = 50
 STAGNATION_LIMIT = 200
+# The walk forgets its cached neighbourhoods above this many words (the
+# largest graph the benchmark walks has 5**5 = 3125 vertices).
+IDS_CACHE_LIMIT = 2**12
 
 MODES = ("exhaustive", "local")
 
@@ -479,20 +489,56 @@ _Move = tuple[int, int | None, int | None]  # (w, src, dst), as the module docst
 
 
 class _LocalState:
-    __slots__ = ("index", "_hood", "_ids", "counts", "parts", "violated")
+    """The walk's parts, each vertex's coverage counts as one state code, and
+    the violated vertices.
+
+    A vertex covered a times by side 0 and b times by side 1 has code
+    a + k*b, k = size + 2; ``code`` holds the nonzero codes only, so the
+    state stays as sparse as the parts.  Both tables are indexed by code:
+    ``bad`` says whether the vertex is violated (a != b or a > 1, which is
+    symmetric in the sides), and ``gain`` packs what each of the six moves
+    would change there, plus one, into fields ``width`` bits wide, in the
+    order add to 0, add to 1, remove from 0, move 0 to 1, remove from 1,
+    move 1 to 0.  Summing ``gain`` over a word's neighbourhood then scores
+    that word's two moves at once: no field can carry into the next, since
+    each sums at most 2 * size.
+    """
+
+    __slots__ = ("index", "_hood", "_ids", "code", "k", "bad", "gain", "width", "parts", "violated")
 
     def __init__(self, params: HammingParams, kind: str) -> None:
         self.index = VertexIndex(params)
         self._hood = self.index.ball if kind == PERFECT else self.index.sphere
         self._ids: dict[int, tuple[int, ...]] = {}
-        self.counts: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        size = params.degree + (1 if kind == PERFECT else 0)
+        k = self.k = size + 2
+        self.width = width = (2 * size + 1).bit_length()
+
+        def bad(a: int, b: int) -> bool:
+            return a != b or a > 1
+
+        self.bad: list[bool] = []
+        self.gain: list[int] = []
+        for b in range(k):
+            for a in range(k):
+                was = bad(a, b)
+                after = (
+                    bad(a + 1, b), bad(a, b + 1),
+                    bad(a - 1, b), bad(a - 1, b + 1),
+                    bad(a, b - 1), bad(a + 1, b - 1),
+                )
+                self.bad.append(was)
+                self.gain.append(sum(1 + now - was << i * width for i, now in enumerate(after)))
+        self.code: dict[int, int] = {}
         self.parts: tuple[set[int], set[int]] = (set(), set())
         self.violated: set[int] = set()
 
     def ids(self, x: int) -> tuple[int, ...]:
-        """x's neighbourhood as sorted ids."""
+        """x's neighbourhood as sorted ids, cached up to IDS_CACHE_LIMIT words."""
         got = self._ids.get(x)
         if got is None:
+            if len(self._ids) >= IDS_CACHE_LIMIT:
+                self._ids.clear()
             got = tuple(sorted(self._hood(self.index.decode(x))))
             self._ids[x] = got
         return got
@@ -501,30 +547,33 @@ class _LocalState:
         return len(self.violated)
 
     def clear(self) -> None:
-        self.counts[0].clear()
-        self.counts[1].clear()
+        self.code.clear()
         self.parts[0].clear()
         self.parts[1].clear()
         self.violated.clear()
 
     def toggle(self, w: int, side: int, add: bool) -> None:
-        counts = self.counts[side]
-        other = self.counts[1 - side]
         if add:
             self.parts[side].add(w)
         else:
             self.parts[side].remove(w)
-        delta = 1 if add else -1
+        step = self.k if side else 1
+        delta = step if add else -step
+        code = self.code
+        get = code.get
+        bad = self.bad
+        add_violated = self.violated.add
+        discard_violated = self.violated.discard
         for y in self.ids(w):
-            c = counts.get(y, 0) + delta
+            c = get(y, 0) + delta
             if c:
-                counts[y] = c
+                code[y] = c
             else:
-                counts.pop(y, None)
-            if c == other.get(y, 0) and c <= 1:
-                self.violated.discard(y)
+                del code[y]
+            if bad[c]:
+                add_violated(y)
             else:
-                self.violated.add(y)
+                discard_violated(y)
 
     def apply(self, move: _Move) -> None:
         w, src, dst = move
@@ -539,46 +588,35 @@ class _LocalState:
         Each word of x's neighbourhood yields two moves: add to side 0 and
         add to side 1 for a free word, remove and move for an unpinned part
         word (pinned words stay put; they anchor the walk away from the
-        empty state).  One read-only pass over the word's neighbourhood
-        scores both.  A vertex whose counts are a on one side and b on the
-        other is violated when a != b or a > 1, which is symmetric in the
-        sides, and each move shifts a vertex's counts by one.
+        empty state).  One sum of ``gain`` over the word's neighbourhood
+        scores both; each vertex adds one to every field, hence the offset.
         """
-        counts = self.counts
-        get0 = counts[0].get
-        get1 = counts[1].get
+        code_of = self.code.get
+        lookup = self.gain.__getitem__
+        width = self.width
+        mask = (1 << width) - 1
         part0, part1 = self.parts
         base = len(self.violated)
         ids = self.ids
+        cached = self._ids.get
         scored: list[tuple[int, _Move]] = []
         for w in ids(x):
             if w in part0 or w in part1:
                 if w in pinned:
                     continue
                 side = 0 if w in part0 else 1
-                own = counts[side].get
-                other = counts[1 - side].get
-                # remove: (a - 1, b); move: (a - 1, b + 1)
-                dr = dm = 0
-                for y in ids(w):
-                    a = own(y, 0)
-                    b = other(y, 0)
-                    was = a != b or a > 1
-                    dr += (a - 1 != b or a > 2) - was
-                    dm += (a != b + 2 or a > 2) - was
-                scored.append((base + dr, (w, side, None)))
-                scored.append((base + dm, (w, side, 1 - side)))
+                shift = (2 + 2 * side) * width
+                first: _Move = (w, side, None)
+                second: _Move = (w, side, 1 - side)
             else:
-                # add to 0: (a + 1, b); add to 1: (a, b + 1)
-                d0 = d1 = 0
-                for y in ids(w):
-                    a = get0(y, 0)
-                    b = get1(y, 0)
-                    was = a != b or a > 1
-                    d0 += (a + 1 != b or a > 0) - was
-                    d1 += (b + 1 != a or b > 0) - was
-                scored.append((base + d0, (w, None, 0)))
-                scored.append((base + d1, (w, None, 1)))
+                shift = 0
+                first = (w, None, 0)
+                second = (w, None, 1)
+            hood = cached(w) or ids(w)
+            packed = sum(map(lookup, map(code_of, hood, repeat(0)))) >> shift
+            offset = base - len(hood)
+            scored.append((offset + (packed & mask), first))
+            scored.append((offset + (packed >> width & mask), second))
         return scored
 
 

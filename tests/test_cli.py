@@ -1,6 +1,7 @@
 """End-to-end command line behaviour via main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -82,6 +83,16 @@ def test_construct_refuses_tensor_depth_below_one(construction, r, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"--r must be at least 1, got {r}" in err
+
+
+@pytest.mark.parametrize("args", [("alt", "--q", "11"), ("tensor", "--q", "5", "--r", "4")])
+def test_construct_refuses_oversized_builds_at_once(args, capsys):
+    started = time.perf_counter()
+    assert main(["construct", "--construction", *args]) == 2
+    assert time.perf_counter() - started < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "construction ceiling" in err
 
 
 def test_verify_passes_on_good_file(tmp_path, capsys):

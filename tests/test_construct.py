@@ -1,7 +1,10 @@
 """The three bitrade constructions and the Bitrade container."""
 
+import time
+
 import pytest
 
+from bitrades import construct
 from bitrades import (
     Bitrade,
     HammingParams,
@@ -242,3 +245,35 @@ def test_bitrade_helpers():
     t0_sorted, t1_sorted = b.sorted_parts()
     assert t0_sorted == sorted(ALT3_T0)
     assert t1_sorted == sorted(ALT3_T1)
+
+
+# Each construction refuses, before it enumerates a word, a volume above
+# the construction ceiling: q!/2 for alt, 2^(r-1) v^r for a tensor power.
+@pytest.mark.parametrize("build,what", [
+    (lambda: alt_bitrade(11), r"alt_bitrade\(11\)"),
+    (lambda: tensor_power(alt_bitrade(5), 4), "4-fold tensor power of a volume-60"),
+    (lambda: mds_bitrade(11, "swap"), "mds_bitrade"),
+    (lambda: mds_bitrade(11, "coset"), "mds_bitrade"),
+])
+def test_oversized_constructions_are_refused_at_once(build, what):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"{what}.* more than 2\\*\\*19 words in each part"):
+        build()
+    assert time.perf_counter() - started < 1.0
+
+
+def test_construction_ceiling_is_one_bound_on_volume(monkeypatch):
+    monkeypatch.setattr(construct, "CONSTRUCTION_CEILING", 60)
+    alt5 = alt_bitrade(5)
+    assert alt5.volume == 60
+    with pytest.raises(ValueError, match=r"alt_bitrade\(6\)"):
+        alt_bitrade(6)
+    with pytest.raises(ValueError, match="lifting a volume-60"):
+        lift_to_perfect(alt5)
+    alt3 = alt_bitrade(3)
+    square = tensor_combine(alt3, alt3)
+    assert square.volume == tensor_power(alt3, 2).volume == 18
+    with pytest.raises(ValueError, match="combining volumes 3 and 18"):
+        tensor_combine(alt3, square)
+    with pytest.raises(ValueError, match="3-fold tensor power of a volume-3"):
+        tensor_power(alt3, 3)

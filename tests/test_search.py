@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -432,14 +433,26 @@ def _hood(i, n, q, ball):
     return sorted(out)
 
 
+def _bad(a, b):
+    """Whether a vertex covered a times by side 0 and b times by side 1 is violated."""
+    return a != b or a > 1
+
+
 def _violated(parts, hood):
     counts = [Counter(), Counter()]
     for side in (0, 1):
         for w in parts[side]:
             counts[side].update(hood(w))
-    return sum(
-        1 for y in counts[0].keys() | counts[1].keys()
-        if counts[0][y] != counts[1][y] or counts[0][y] > 1
+    return sum(1 for y in counts[0].keys() | counts[1].keys() if _bad(counts[0][y], counts[1][y]))
+
+
+def _counts(state):
+    """Each side's nonzero coverage counts, decoded from the walk's state
+    codes a + k*b (a and b the counts on sides 0 and 1)."""
+    k = state.k
+    return tuple(
+        {y: c // k**side % k for y, c in state.code.items() if c // k**side % k}
+        for side in (0, 1)
     )
 
 
@@ -463,8 +476,9 @@ def _recounted_moves(parts, x, pinned, hood):
     return out
 
 
+# H(30, 3) spherical has degree 60, so its packed fields are the widest.
 @pytest.mark.parametrize("kind,n,q", [
-    (SPHERICAL, 3, 3), (SPHERICAL, 5, 5), (PERFECT, 4, 3), (PERFECT, 7, 3),
+    (SPHERICAL, 3, 3), (SPHERICAL, 5, 5), (PERFECT, 4, 3), (PERFECT, 7, 3), (SPHERICAL, 30, 3),
 ])
 def test_move_scores_equal_a_recount(kind, n, q):
     ball = kind == PERFECT
@@ -493,7 +507,11 @@ def test_move_scores_equal_a_recount(kind, n, q):
         parts = (set(state.parts[0]), set(state.parts[1]))
         pinned = {w for w in sorted(parts[0] | parts[1]) if rng.random() < 0.3}
         assert state.objective() == _violated(parts, hood)
-        seen_double |= any(c > 1 for side in (0, 1) for c in state.counts[side].values())
+        counts = _counts(state)
+        assert counts == tuple(
+            Counter(y for w in parts[side] for y in hood(w)) for side in (0, 1)
+        )
+        seen_double |= any(c > 1 for side in (0, 1) for c in counts[side].values())
         xs = rng.sample(sorted(state.violated), min(12, len(state.violated)))
         xs += [rng.randrange(q**n) for _ in range(4)]
         for x in xs:
@@ -506,6 +524,67 @@ def test_move_scores_equal_a_recount(kind, n, q):
     assert seen_double and seen_pinned
 
 
+# (change to a, change to b) of each packed field, in the walk's order: add
+# to 0, add to 1, remove from 0, move 0 to 1, remove from 1, move 1 to 0.
+PACKED_MOVES = ((1, 0), (0, 1), (-1, 0), (-1, 1), (0, -1), (1, -1))
+
+
+@pytest.mark.parametrize("kind,n,q", [
+    (SPHERICAL, 3, 3), (SPHERICAL, 5, 5), (PERFECT, 4, 3), (PERFECT, 7, 3), (SPHERICAL, 30, 3),
+])
+def test_packed_deltas_equal_a_recount(kind, n, q):
+    params = HammingParams(n, q)
+    size = params.degree + (kind == PERFECT)
+    state = search_module._LocalState(params, kind)
+    width = state.width
+    # a field sums at most 2 per vertex of a neighbourhood, so it never carries
+    assert 2 * size < 1 << width
+    mask = (1 << width) - 1
+    checked = 0
+    for a in range(size + 1):
+        for b in range(size + 1):
+            code = a + state.k * b
+            assert state.bad[code] == _bad(a, b)
+            for i, (da, db) in enumerate(PACKED_MOVES):
+                # only moves that leave both counts within the region size occur
+                if 0 <= a + da <= size and 0 <= b + db <= size:
+                    field = state.gain[code] >> i * width & mask
+                    assert field - 1 == _bad(a + da, b + db) - _bad(a, b), (a, b, i)
+                    checked += 1
+    # the two moves change both counts, the four others one
+    assert checked == 4 * size * (size + 1) + 2 * size * size
+
+
+# A walk on H(30, 3), degree 60, meets new words on nearly every move.  Once
+# it kept every neighbourhood it scored: 300 moves peaked at about 35 MiB
+# under tracemalloc and 2,000 at about 224 MiB.  The cache is cleared when
+# full, which leaves the walk as it was: the same move count, result and
+# final RNG state (recorded before the cache was bounded).
+def test_walk_neighbourhood_cache_is_bounded(monkeypatch):
+    made = []
+
+    class KeptRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(search_module, "random", SimpleNamespace(Random=KeptRandom))
+    cfg = SearchConfig(HammingParams(30, 3), mode="local", seed=1, move_budget=300)
+    tracemalloc.start()
+    try:
+        result = find_spherical(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.nodes_explored == 300
+    assert result.best is None
+    state = repr(made.pop().getstate()).encode()
+    assert hashlib.sha256(state).hexdigest() == (
+        "4c3188129ef3e9c14679b359af615adb4985bde973960df06701f3ddffbc62dd"
+    )
+    assert peak < 24 * 2**20
+
+
 @pytest.mark.parametrize("kind,n,q", [
     (SPHERICAL, 3, 3), (SPHERICAL, 5, 5), (PERFECT, 4, 3), (PERFECT, 7, 3),
 ])
@@ -513,8 +592,7 @@ def test_tabu_key_undoes_its_move(kind, n, q):
     params = HammingParams(n, q)
 
     def snapshot(state):
-        counts = tuple(dict(c) for c in state.counts)
-        return counts, tuple(set(p) for p in state.parts), set(state.violated)
+        return _counts(state), tuple(set(p) for p in state.parts), set(state.violated)
 
     undone = 0
     seen_double = False
@@ -526,7 +604,7 @@ def test_tabu_key_undoes_its_move(kind, n, q):
         for _ in range(40):
             x = rng.choice(state.ids(rng.choice(centres)))
             state.apply(rng.choice(state.scored_moves(x, set()))[1])
-        seen_double |= any(c > 1 for side in (0, 1) for c in state.counts[side].values())
+        seen_double |= any(c > 1 for side in (0, 1) for c in _counts(state)[side].values())
         before = snapshot(state)
         xs = rng.sample(sorted(state.violated), min(12, len(state.violated)))
         xs += [rng.randrange(q**n) for _ in range(4)]
