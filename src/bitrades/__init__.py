@@ -23,11 +23,9 @@ from .hamming import (
     HammingParams,
     Word,
     all_words,
-    ball,
     code_distance,
     hamming_distance,
     min_distance,
-    sphere,
 )
 from .linear import ParityCheckCode, coset, rs_mds_code, sum_zero_code, verify_mds
 from .search import (
@@ -80,7 +78,6 @@ __all__ = [
     "Word",
     "all_words",
     "alt_bitrade",
-    "ball",
     "build_field",
     "check_bitrade",
     "code_distance",
@@ -105,7 +102,6 @@ __all__ = [
     "min_perfect_volume",
     "rs_mds_code",
     "save_bitrade",
-    "sphere",
     "sum_zero_code",
     "tensor_combine",
     "tensor_power",

@@ -4,7 +4,11 @@ The vertices of H(n, q) are the length-n words over {0, ..., q-1}; two
 words are adjacent when they differ in exactly one coordinate.  Words are
 plain tuples of ints and codes are immutable sets of words, so everything
 in this module is pure and safe to share.  ``VertexIndex`` numbers the
-vertices for the checks and searches; distances are exact at every size.
+vertices, and ``project`` on ids answers "do these words agree off the
+coordinates D?" for every distance, face sum and distance-profile count.
+Counting, over each D of size 1 (of size 2), the words of a set that agree
+with w off D sums to n*a0 + a1 (to C(n, 2)*a0 + (n-1)*a1 + a2), where a_j
+counts those at distance j from w.  Distances are exact at every size.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import itertools
 import math
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
-from operator import getitem, is_, itemgetter, mul, ne
+from operator import getitem, is_, itemgetter, mul, ne, sub
 
 Word = tuple[int, ...]
 
@@ -127,12 +131,12 @@ def _pairwise(pairs: Iterable[tuple[Word, Word]], floor: int) -> int | float:
 def min_distance(code: Code) -> int | float:
     """Minimum distance between distinct codewords; +inf below two words.
 
-    Exact at every size.  The distance is at most k exactly when the
-    projection onto some n - k coordinates merges two codewords; for
-    q^(n-k) < |C| one must (pigeonhole).  Level top, the last k before
-    that, is tried first: injective there proves top + 1, as for MDS codes
-    and bitrade parts.  Otherwise k rises from 1 to the first merging
-    level, or to the exact pairwise scan when that is cheaper.
+    Exact at every size.  The distance is at most k exactly when dropping
+    some k coordinates (``project``) merges two codewords; for q^(n-k) <
+    |C| one must (pigeonhole).  Level top, the last k before that, is
+    tried first: injective there proves top + 1, as for MDS codes and
+    bitrade parts.  Otherwise k rises from 1 to the first merging level,
+    or to the exact pairwise scan when that is cheaper.
     """
     words = list(code.words)
     size = len(words)
@@ -140,11 +144,12 @@ def min_distance(code: Code) -> int | float:
         return math.inf
     n, q = code.params.n, code.params.q
     top = max(k for k in range(n) if q ** (n - k) >= size)
+    ids, columns = VertexIndex(code.params).digits(words)
 
     def merges(k: int) -> bool:
         return any(
-            len(set(map(itemgetter(*keep), words))) < size
-            for keep in itertools.combinations(range(n), n - k)
+            len(set(project(ids, columns, drop))) < size
+            for drop in itertools.combinations(range(n), k)
         )
 
     if top and math.comb(n, top) <= size and not merges(top):
@@ -160,47 +165,21 @@ def min_distance(code: Code) -> int | float:
 def code_distance(c: Code, d: Code) -> int | float:
     """Minimum distance between a word of c and a word of d; +inf if either is empty.
 
-    Exact: within distance k exactly when projections onto some n - k coordinates meet.
+    Exact: within distance k exactly when dropping some k coordinates makes them meet.
     """
     if c.params != d.params:
         raise ValueError(f"codes live in different graphs: {c.params} vs {d.params}")
     if not c.words or not d.words:
         return math.inf
-    if not c.words.isdisjoint(d.words):
-        return 0
     n = c.params.n
-    for k in range(1, n):
+    cx, dx = map(VertexIndex(c.params).digits, (c.words, d.words))
+    for k in range(n):
         if math.comb(n, k) * (len(c) + len(d)) > len(c) * len(d):
             return _pairwise(itertools.product(c.words, d.words), k)
-        for keep in itertools.combinations(range(n), n - k):
-            get = itemgetter(*keep)
-            if not set(map(get, c.words)).isdisjoint(map(get, d.words)):
+        for drop in itertools.combinations(range(n), k):
+            if not set(project(*cx, drop)).isdisjoint(project(*dx, drop)):
                 return k
     return n
-
-
-# ---------------------------------------------------------------------------
-# neighbourhoods
-
-
-def sphere(params: HammingParams, center: Word) -> list[Word]:
-    """The n(q-1) words at distance exactly 1 from center.
-
-    Listed by increasing changed position, then increasing symbol.
-    """
-    params.check_word(center)
-    out: list[Word] = []
-    for i in range(params.n):
-        head, tail = center[:i], center[i + 1 :]
-        for s in range(params.q):
-            if s != center[i]:
-                out.append(head + (s,) + tail)
-    return out
-
-
-def ball(params: HammingParams, center: Word) -> list[Word]:
-    """The center together with its sphere: n(q-1) + 1 words."""
-    return [center] + sphere(params, center)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +192,7 @@ class VertexIndex:
     A word's id is its value in base q with the first coordinate most
     significant, so ids sort like words.  Changing coordinate i from a to
     s adds (s - a) * q^(n-1-i) to the id; neighbourhoods read those
-    offsets from tables and list ids in the order of ``sphere`` and ``ball``.
+    offsets from tables and list ids by changed position, then symbol.
     """
 
     __slots__ = ("params", "weights", "_steps")
@@ -222,9 +201,9 @@ class VertexIndex:
         n, q = params.n, params.q
         self.params = params
         self.weights = tuple(q ** (n - 1 - i) for i in range(n))
-        # _steps[i][a]: the id offsets of the n-1 other symbols at position i
+        # _steps[i][a]: the id offsets (s - a) * w of the q-1 other symbols s at position i
         self._steps = tuple(
-            tuple(tuple((s - a) * w for s in range(q) if s != a) for a in range(q))
+            tuple(tuple(range(-a * w, 0, w)) + tuple(range(w, (q - a) * w, w)) for a in range(q))
             for w in self.weights
         )
 
@@ -271,17 +250,29 @@ class VertexIndex:
                 itertools.chain.from_iterable(far),
             )
 
-    def radius2(self, word: Word) -> list[int]:
-        """Ids at distance exactly 2, by increasing pair of changed positions."""
-        v = self.encode(word)
-        steps = list(map(getitem, self._steps, word))
-        return [
-            v + x + y
-            for i, near in enumerate(steps)
-            for far in steps[i + 1 :]
-            for x in near
-            for y in far
+    def digits(self, words: Iterable[Word]) -> tuple[list[int], list[list[int]]]:
+        """The words' ids, and per position i the column of their digits s * q^(n-1-i).
+
+        Column entries refer into one table per position, so no per-word ints are made.
+        """
+        words = list(words)
+        q = self.params.q
+        columns = [
+            list(map(tuple(range(0, q * w, w)).__getitem__, map(itemgetter(i), words)))
+            for i, w in enumerate(self.weights)
         ]
+        return list(map(sum, zip(*columns))), columns
+
+
+def project(ids: Iterable[int], columns: list[list[int]], drop: Iterable[int]) -> Iterator[int]:
+    """The ids less the digits at the positions in drop, lazily.
+
+    Two words' projections are equal exactly when the words agree off drop.
+    """
+    out = iter(ids)
+    for i in drop:
+        out = map(sub, out, columns[i])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import warnings
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import itemgetter, sub
+from itertools import combinations, repeat
+from operator import add
 
 from .construct import PERFECT, SPHERICAL, Bitrade
 from .hamming import (
@@ -27,6 +27,7 @@ from .hamming import (
     Word,
     code_distance,
     min_distance,
+    project,
 )
 
 WITNESS_LIMIT = 10
@@ -34,8 +35,6 @@ WITNESS_LIMIT = 10
 # The face check refuses more support projections than this, C(n, m-1) * |support|;
 # mds_bitrade(8, "coset") needs 28 * 2**19.
 FACE_WORK_CEILING = 2**25
-
-CRITERIA = ("definition", "eigen", "dist2count", "delsarte")
 
 # the checks check_bitrade runs, in the order it runs them
 CHECKS = ("definition", "eigen", "dist2", "delsarte")
@@ -57,7 +56,7 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.criterion not in CRITERIA:
+        if self.criterion not in CHECKS:
             raise ValueError(f"unknown criterion {self.criterion!r}")
         if self.passed != (self.failure_count == 0):
             raise ValueError("passed must hold exactly when failure_count is 0")
@@ -203,13 +202,16 @@ def dist2_pair_check(
     Perfect: minimum distances 3, and every word has exactly one
     opposite-part word at distance 1 and (q-1)(n-1)/2 at distance 2.
     These are necessary; the counting definition remains the authority.
+    A word's counts a1, a2 come from S1 = n*a0 + a1 and S2 = C(n, 2)*a0 +
+    (n-1)*a1 + a2, S1 (S2) summing over position sets D of size 1 (2) the
+    opposite words agreeing with it off D; a0 is 1 if it is in both parts.
     """
     if kind not in (SPHERICAL, PERFECT):
         raise ValueError(f"kind must be 'spherical' or 'perfect', got {kind!r}")
     set0, set1 = frozenset(t0), frozenset(t1)
     n, q = params.n, params.q
     if not set0 and not set1:
-        return _report("dist2count", [], {"trivial": True})
+        return _report("dist2", [], {"trivial": True})
 
     codes = Code(params, set0), Code(params, set1)
     failures: list[tuple] = [
@@ -227,21 +229,29 @@ def dist2_pair_check(
         expected_pairs = (q - 1) * (n - 1) // 2
         details = {"expected_distance2": expected_pairs, "expected_distance1": 1}
 
-    # opposite-part words at distance 1 and 2, counted by id lookups
     index = VertexIndex(params)
-    ids0, ids1 = set(map(index.encode, set0)), set(map(index.encode, set1))
-    for name, part, other in (("t0", set0, ids1), ("t1", set1, ids0)):
-        has = other.__contains__
-        for w in part:
-            if kind == PERFECT:
-                at1 = sum(map(has, index.sphere(w)))
-                if at1 != 1:
-                    failures.append(("count_distance1", name, w, at1, 1))
-            at2 = sum(map(has, index.radius2(w)))
+    words = list(set0), list(set1)
+    digits = [index.digits(part) for part in words]
+
+    def agreements(side: int, size: int) -> list[int]:
+        """Per word of one side: the opposite words that agree with it off D, over |D| = size."""
+        total = [0] * len(words[side])
+        for drop in combinations(range(n), size):
+            counts = Counter(project(*digits[1 - side], drop)).get
+            total = list(map(add, total, map(counts, project(*digits[side], drop), repeat(0))))
+        return total
+
+    for side, (name, part, other) in enumerate(zip(("t0", "t1"), words, (set1, set0))):
+        for w, s1, s2 in zip(part, agreements(side, 1), agreements(side, 2)):
+            at0 = w in other
+            at1 = s1 - n * at0
+            at2 = s2 - (n - 1) * at1 - math.comb(n, 2) * at0
+            if kind == PERFECT and at1 != 1:
+                failures.append(("count_distance1", name, w, at1, 1))
             if at2 != expected_pairs:
                 failures.append(("count_distance2", name, w, at2, expected_pairs))
 
-    return _report("dist2count", failures, details)
+    return _report("dist2", failures, details)
 
 
 def dist2_count_check(b: Bitrade) -> VerificationReport:
@@ -271,9 +281,9 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
     zero on the whole face.  Every face is checked: one projection of the
     support per set of fixed positions, and faces the support misses pass.
     A projection is an integer key, the word's id less the digits of the
-    other positions, and symbols are decoded only for witnesses.  More than
-    FACE_WORK_CEILING projections (C(n, m-1) * |support|) are refused with
-    ValueError.
+    free positions (``project``), and symbols are decoded only for
+    witnesses.  More than FACE_WORK_CEILING projections (C(n, m-1) *
+    |support|) are refused with ValueError.
     """
     n, q = f.params.n, f.params.q
     if not isinstance(m, int) or not 1 <= m <= n + 1:
@@ -286,23 +296,13 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
             f"refused; the ceiling is {FACE_WORK_CEILING} projections"
         )
     index = VertexIndex(f.params)
-    parts = [
-        (list(map(index.encode, words)), [list(map(itemgetter(i), words)) for i in range(n)])
-        for words in f.parts()
-    ]
-    digit_values = [tuple(a * w for a in range(q)) for w in index.weights]
-
-    def keys(ids: list[int], columns: list[list[int]], positions: tuple[int, ...]) -> Counter:
-        out: Iterable[int] = ids
-        for i in range(n):
-            if i not in positions:
-                out = map(sub, out, map(digit_values[i].__getitem__, columns[i]))
-        return Counter(out)
+    parts = [index.digits(words) for words in f.parts()]
 
     failures: list[tuple] = []
     faces_with_support = 0
     for positions in combinations(range(n), k):
-        up, down = (keys(ids, columns, positions) for ids, columns in parts)
+        free = [i for i in range(n) if i not in positions]
+        up, down = (Counter(project(ids, columns, free)) for ids, columns in parts)
         if dict.__eq__(up, down):
             faces_with_support += len(up)
             continue

@@ -1,9 +1,10 @@
-"""Shared test utilities: corruptions, random pairs, reference checks and the characterization votes."""
+"""Shared test utilities: word-level neighbourhoods, corruptions, random pairs,
+reference checks and the characterization votes."""
 
 import random
 from collections import Counter
 from itertools import chain, combinations
-from math import comb
+from math import comb, inf
 
 from bitrades import (
     Bitrade,
@@ -28,6 +29,26 @@ CORRUPTIONS = ("delete", "move", "replace")
 
 def random_word(params: HammingParams, rng: random.Random):
     return tuple(rng.randrange(params.q) for _ in range(params.n))
+
+
+def sphere(params: HammingParams, center):
+    """Reference: the n(q-1) words at distance exactly 1 from center.
+
+    Listed by increasing changed position, then increasing symbol.
+    """
+    params.check_word(center)
+    out = []
+    for i in range(params.n):
+        head, tail = center[:i], center[i + 1 :]
+        for s in range(params.q):
+            if s != center[i]:
+                out.append(head + (s,) + tail)
+    return out
+
+
+def ball(params: HammingParams, center):
+    """Reference: the center together with its sphere, n(q-1) + 1 words."""
+    return [center] + sphere(params, center)
 
 
 def corrupt(bitrade: Bitrade, rng: random.Random) -> tuple[str, Bitrade]:
@@ -107,6 +128,36 @@ def eigen_reference(f: SignedFunction, eigenvalue: int) -> VerificationReport:
     ]
     details = {"eigenvalue": eigenvalue, "vertices_checked": len(touched)}
     return reference_report("eigen", failures, details)
+
+
+def dist2_reference(params, kind, t0, t1) -> VerificationReport:
+    """dist2_pair_check from hamming_distance alone: pairwise minimum distances and,
+    per word, a Counter of its distances to the opposite part."""
+    if not t0 and not t1:
+        return reference_report("dist2", [], {"trivial": True})
+    n, q = params.n, params.q
+    failures = []
+    for name, part in (("t0", t0), ("t1", t1)):
+        d = min((hamming_distance(x, y) for x, y in combinations(part, 2)), default=inf)
+        if d != 3:
+            failures.append(("min_distance", name, d, 3))
+    if kind == SPHERICAL:
+        expected = (q - 1) * n // 2
+        cross = min((hamming_distance(x, y) for x in t0 for y in t1), default=inf)
+        if cross != 2:
+            failures.append(("part_distance", cross, 2))
+        details = {"expected_distance2": expected}
+    else:
+        expected = (q - 1) * (n - 1) // 2
+        details = {"expected_distance2": expected, "expected_distance1": 1}
+    for name, part, other in (("t0", t0, t1), ("t1", t1, t0)):
+        for w in part:
+            at = Counter(hamming_distance(w, u) for u in other)
+            if kind == PERFECT and at[1] != 1:
+                failures.append(("count_distance1", name, w, at[1], 1))
+            if at[2] != expected:
+                failures.append(("count_distance2", name, w, at[2], expected))
+    return reference_report("dist2", failures, details)
 
 
 def delsarte_reference(f: SignedFunction, m: int) -> VerificationReport:

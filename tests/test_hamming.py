@@ -15,14 +15,13 @@ from bitrades.hamming import (
     HammingParams,
     VertexIndex,
     all_words,
-    ball,
     code_distance,
     hamming_distance,
     min_distance,
-    sphere,
+    project,
 )
 from bitrades.verify import WITNESS_LIMIT, definition_check
-from helpers import brute_failures
+from helpers import ball, brute_failures, sphere
 
 # derandomized, so every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -235,7 +234,7 @@ def test_enumeration_ceiling():
     with pytest.raises(ValueError):
         all_words(big)
     # neighbourhood-local operations ignore the ceiling
-    assert len(sphere(big, (0,) * 49)) == 49
+    assert len(list(VertexIndex(big).sphere((0,) * 49))) == 49
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +250,14 @@ def params_and_word(draw):
     return HammingParams(n, q), word
 
 
-# the edge cases, drawn or not: q = 2, n = 1 and words of length 6 and more
+# the edge cases, drawn or not: q = 2, n = 1, words of length 6 and more,
+# ids above 2**30 (H(40, 2)) and a two-digit alphabet
 EDGE_CASES = [
     (HammingParams(1, 2), (1,)),
     (HammingParams(6, 2), (0, 1, 1, 0, 1, 0)),
     (HammingParams(8, 3), (2, 0, 1, 2, 2, 0, 1, 0)),
+    (HammingParams(40, 2), (1, 0, 1, 1) * 10),
+    (HammingParams(3, 12), (11, 0, 7)),
 ]
 
 
@@ -263,11 +265,6 @@ def with_edge_cases(test):
     for case in EDGE_CASES:
         test = example(case)(test)
     return test
-
-
-def radius2_words(params, word):
-    """Oracle: every word at distance exactly 2, in lexicographic order."""
-    return [w for w in all_words(params) if hamming_distance(w, word) == 2]
 
 
 @PROPERTY
@@ -289,9 +286,22 @@ def test_kernel_neighbourhoods_match_word_versions(case):
     index = VertexIndex(params)
     assert list(index.sphere(word)) == [index.encode(w) for w in sphere(params, word)]
     assert list(index.ball(word)) == [index.encode(w) for w in ball(params, word)]
-    r2 = index.radius2(word)
-    assert len(r2) == len(set(r2)) == math.comb(params.n, 2) * (params.q - 1) ** 2
-    assert sorted(r2) == [index.encode(w) for w in radius2_words(params, word)]
+    # projections: the word, its sphere (pairs at distance 1 and 2), its shift
+    # by 1 (distance n) and a few random words
+    n, q = params.n, params.q
+    rng = random.Random(index.encode(word))
+    words = [word, *sphere(params, word), tuple((s + 1) % q for s in word)]
+    words += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(5)]
+    ids, columns = index.digits(words)
+    assert ids == list(map(index.encode, words))
+    drops = [drop for k in range(3) for drop in itertools.combinations(range(n), k)]
+    if n > 3:
+        drops.append(tuple(sorted(rng.sample(range(n), rng.randrange(3, n + 1)))))
+    for drop in drops:
+        kept = [tuple(w[i] for i in range(n) if i not in drop) for w in words]
+        projected = list(project(ids, columns, drop))
+        # equal projections exactly when the kept symbols are equal
+        assert len(set(projected)) == len(set(kept)) == len(set(zip(projected, kept)))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 7])
@@ -316,7 +326,6 @@ def test_kernel_small_cases():
     index = VertexIndex(HammingParams(1, 2))
     assert list(index.sphere((0,))) == [1]
     assert list(index.ball((1,))) == [1, 0]
-    assert index.radius2((1,)) == []
     index = VertexIndex(HammingParams(3, 3))
     assert index.encode((1, 2, 0)) == 15
     assert index.decode(15) == (1, 2, 0)

@@ -414,22 +414,19 @@ def test_seeded_walks_match_recorded_digest(monkeypatch):
 
 # The walk's move scores against a recount written here: neighbourhoods
 # from words, ids with the first coordinate most significant, and the
-# violated vertices counted afresh from the parts after each move.
+# violated vertices counted afresh from the parts around each move.
 def _word(i, n, q):
     return tuple((i // q ** (n - 1 - j)) % q for j in range(n))
 
 
-def _id(word, q):
-    return sum(s * q ** (len(word) - 1 - j) for j, s in enumerate(word))
-
-
 def _hood(i, n, q, ball):
-    w = _word(i, n, q)
+    # the word as a base-q numeral, read back by int; every q tested here is at most 10
+    w = "".join(map(str, _word(i, n, q)))
     out = [i] if ball else []
     for j in range(n):
-        for s in range(q):
+        for s in map(str, range(q)):
             if s != w[j]:
-                out.append(_id(w[:j] + (s,) + w[j + 1:], q))
+                out.append(int(w[:j] + s + w[j + 1:], q))
     return sorted(out)
 
 
@@ -456,23 +453,38 @@ def _counts(state):
     )
 
 
-def _recounted_moves(parts, x, pinned, hood):
+def _violated_near(parts, hood, near):
+    """_violated counted only on the vertices in near, from the part words."""
+    counts = [
+        Counter(itertools.chain.from_iterable(map(near.intersection, map(hood, part))))
+        for part in parts
+    ]
+    return sum(_bad(counts[0][y], counts[1][y]) for y in counts[0].keys() | counts[1].keys())
+
+
+def _recounted_moves(parts, x, pinned, hood, violated):
+    """Each move's score from violated, the parts' full count: a move on w
+    changes coverage only on N(w), which is recounted before and after it
+    from the part words that cover a vertex of N(w)."""
     out = []
     for w in hood(x):
-        after = [set(parts[0]), set(parts[1])]
+        near = set(hood(w))
+        local = [{u for u in part if not near.isdisjoint(hood(u))} for part in parts]
+        rest = violated - _violated_near(local, hood, near)
+        after = [set(local[0]), set(local[1])]
         if w in parts[0] or w in parts[1]:
             if w in pinned:
                 continue
             side = 0 if w in parts[0] else 1
             after[side].remove(w)
-            out.append((_violated(after, hood), (w, side, None)))
+            out.append((rest + _violated_near(after, hood, near), (w, side, None)))
             after[1 - side].add(w)
-            out.append((_violated(after, hood), (w, side, 1 - side)))
+            out.append((rest + _violated_near(after, hood, near), (w, side, 1 - side)))
         else:
             for side in (0, 1):
-                after = [set(parts[0]), set(parts[1])]
+                after = [set(local[0]), set(local[1])]
                 after[side].add(w)
-                out.append((_violated(after, hood), (w, None, side)))
+                out.append((rest + _violated_near(after, hood, near), (w, None, side)))
     return out
 
 
@@ -506,7 +518,8 @@ def test_move_scores_equal_a_recount(kind, n, q):
                 state.toggle(w, rng.randrange(2), True)
         parts = (set(state.parts[0]), set(state.parts[1]))
         pinned = {w for w in sorted(parts[0] | parts[1]) if rng.random() < 0.3}
-        assert state.objective() == _violated(parts, hood)
+        violated = _violated(parts, hood)
+        assert state.objective() == violated
         counts = _counts(state)
         assert counts == tuple(
             Counter(y for w in parts[side] for y in hood(w)) for side in (0, 1)
@@ -515,7 +528,7 @@ def test_move_scores_equal_a_recount(kind, n, q):
         xs = rng.sample(sorted(state.violated), min(12, len(state.violated)))
         xs += [rng.randrange(q**n) for _ in range(4)]
         for x in xs:
-            expected = _recounted_moves(parts, x, pinned, hood)
+            expected = _recounted_moves(parts, x, pinned, hood, violated)
             assert state.scored_moves(x, pinned) == expected
             seen_pinned |= any(w in pinned for w in hood(x))
         # scoring leaves the state as it was

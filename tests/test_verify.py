@@ -16,6 +16,7 @@ from helpers import (
     corrupt,
     definition_reference,
     delsarte_reference,
+    dist2_reference,
     eigen_reference,
     random_pair,
     signed_function,
@@ -195,6 +196,9 @@ def test_checks_report_what_whole_set_references_report(make):
         assert eigen_check(f, eigenvalue) == eigen_reference(f, eigenvalue)
         m = delsarte_order(case.params, eigenvalue)
         assert delsarte_face_check(f, m) == delsarte_reference(f, m)
+        assert dist2_pair_check(case.params, case.kind, case.t0, case.t1) == dist2_reference(
+            case.params, case.kind, case.t0, case.t1
+        )
 
 
 def test_checks_match_whole_set_references_on_random_pairs():
@@ -204,11 +208,18 @@ def test_checks_match_whole_set_references_on_random_pairs():
             t0, t1 = random_pair(params, rng, max_words=min(6, params.vertex_count // 2))
             for kind in (SPHERICAL, PERFECT):
                 assert definition_check(params, kind, t0, t1) == definition_reference(params, kind, t0, t1)
+                assert dist2_pair_check(params, kind, t0, t1) == dist2_reference(params, kind, t0, t1)
             f = signed_function(params, t0, t1)
             for eigenvalue in params.eigenvalues():
                 assert eigen_check(f, eigenvalue) == eigen_reference(f, eigenvalue)
             for m in range(1, params.n + 2):
                 assert delsarte_face_check(f, m) == delsarte_reference(f, m)
+    # dist2 does not require disjoint parts: a shared word is at distance 0
+    for b in (alt_bitrade(3), lift_to_perfect(alt_bitrade(3))):
+        t0 = b.t0 | {min(b.t1)}
+        report = dist2_pair_check(b.params, b.kind, t0, b.t1)
+        assert not report.passed
+        assert report == dist2_reference(b.params, b.kind, t0, b.t1)
 
 
 def test_definition_check_counts_one_block_at_a_time():
