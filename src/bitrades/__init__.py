@@ -6,6 +6,8 @@ the equivalent characterizations, and exhaustive or local search for
 minimum-volume bitrades.
 """
 
+from types import ModuleType as _ModuleType
+
 from .construct import (
     KINDS,
     PERFECT,
@@ -22,7 +24,6 @@ from .hamming import (
     Code,
     HammingParams,
     Word,
-    all_words,
     code_distance,
     hamming_distance,
     min_distance,
@@ -60,52 +61,9 @@ from .verify import (
 
 __version__ = "0.1.0"
 
+# the names imported above and the version, not the submodules those imports bind
 __all__ = [
-    "Bitrade",
-    "CHECKS",
-    "Code",
-    "FieldTable",
-    "FORMAT_VERSION",
-    "HammingParams",
-    "KINDS",
-    "ParityCheckCode",
-    "PERFECT",
-    "SearchConfig",
-    "SearchResult",
-    "SignedFunction",
-    "SPHERICAL",
-    "VerificationReport",
-    "Word",
-    "all_words",
-    "alt_bitrade",
-    "build_field",
-    "check_bitrade",
-    "code_distance",
-    "coset",
-    "definition_check",
-    "delsarte_face_check",
-    "delsarte_order",
-    "dist2_count_check",
-    "dist2_pair_check",
-    "dumps_json",
-    "dumps_text",
-    "eigen_check",
-    "find_spherical",
-    "from_document",
-    "hamming_distance",
-    "lift_to_perfect",
-    "load_bitrade",
-    "loads_json",
-    "loads_text",
-    "mds_bitrade",
-    "min_distance",
-    "min_perfect_volume",
-    "rs_mds_code",
-    "save_bitrade",
-    "sum_zero_code",
-    "tensor_combine",
-    "tensor_power",
-    "to_document",
-    "verify_mds",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

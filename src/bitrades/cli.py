@@ -18,7 +18,7 @@ from .construct import (
     mds_bitrade,
     tensor_power,
 )
-from .hamming import Code, HammingParams, code_distance, min_distance
+from .hamming import Code, HammingParams, code_distance, is_int, min_distance
 from .search import MODES, SearchConfig, find_spherical, min_perfect_volume
 from .serialize import dumps_json, dumps_text, load_bitrade, save_bitrade
 from .verify import CHECKS, check_bitrade
@@ -180,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as stop:
         code = stop.code
-        return code if isinstance(code, int) else 2
+        return code if is_int(code) else 2
     try:
         return args.handler(args)
     except (ValueError, OSError) as error:

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .fields import build_field
-from .hamming import HammingParams, Word, power_text
+from .hamming import HammingParams, Word, check_ceiling, is_int
 from .linear import coset, rs_mds_code
 
 SPHERICAL = "spherical"
@@ -106,16 +106,14 @@ class Bitrade:
 
 
 def _refuse_above_ceiling(what: str, factors: Iterable[int]) -> None:
-    """Raise ValueError when the volume, the product of factors, passes
+    """Refuse ``what`` when the volume, the product of factors, passes
     CONSTRUCTION_CEILING; the product stops growing once it does."""
     volume = 1
     for factor in factors:
         volume *= factor
         if volume > CONSTRUCTION_CEILING:
-            raise ValueError(
-                f"{what} would put more than {power_text(CONSTRUCTION_CEILING)} words "
-                f"in each part; refused above that construction ceiling"
-            )
+            break
+    check_ceiling(volume, CONSTRUCTION_CEILING, f"{what}: too many words in each part")
 
 
 def _is_even(word: Word) -> bool:
@@ -135,7 +133,7 @@ def alt_bitrade(q: int) -> Bitrade:
     because two permutations can never differ in exactly one place (or,
     for equal parity, in exactly two).
     """
-    if not isinstance(q, int) or q < 3:
+    if not is_int(q) or q < 3:
         raise ValueError(f"the permutation bitrade needs an integer q >= 3, got {q!r}")
     # q!/2 = 3 * 4 * ... * q
     _refuse_above_ceiling(f"alt_bitrade({q})", range(3, q + 1))
@@ -159,14 +157,23 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
     translate of itself by a sum-zero shift outside the code: q^(q-2)
     words per part.
     """
+    if not is_int(q) or q < 3:
+        raise ValueError(f"the MDS bitrades need an integer q >= 3, got {q!r}")
+    if variant not in ("swap", "coset"):
+        raise ValueError(f"unknown variant {variant!r}: expected 'swap' or 'coset'")
+    # the volume depends on q alone, so it is checked before GF(q) is built
+    swap = variant == "swap"
+    _refuse_above_ceiling(
+        f"mds_bitrade({q}, {variant!r})",
+        itertools.chain((q - 1,) if swap else (q,), itertools.repeat(q, q - 3)),
+    )
     field = build_field(q)
     base = rs_mds_code(field, q)
     params = HammingParams(q, q)
 
-    if variant == "swap":
+    if swap:
         if shift is not None:
             raise ValueError("shift only applies to the coset variant")
-        _refuse_above_ceiling(f"mds_bitrade({q}, 'swap')", (q - 1, *[q] * (q - 3)))
         t0 = [w for w in base.words() if w[0] != w[1]]
         t1 = [(w[1], w[0]) + w[2:] for w in t0]
         if not t0:
@@ -178,24 +185,20 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
             )
         return Bitrade(params, SPHERICAL, frozenset(t0), frozenset(t1))
 
-    if variant == "coset":
-        if shift is None:
-            shift = (1, field.neg(1)) + (0,) * (q - 2)
-        params.check_word(shift)
-        if field.sum(shift) != 0:
-            raise ValueError(
-                f"the coset shift must have coordinate sum zero, got {shift!r}"
-            )
-        if shift in base:
-            raise ValueError(
-                f"the coset shift {shift!r} lies in the base code, so the translate "
-                f"coincides with it and the trade would be empty"
-            )
-        _refuse_above_ceiling(f"mds_bitrade({q}, 'coset')", [q] * (q - 2))
-        code = base.to_code()
-        return Bitrade(params, SPHERICAL, code.words, coset(field, code, shift).words)
-
-    raise ValueError(f"unknown variant {variant!r}: expected 'swap' or 'coset'")
+    if shift is None:
+        shift = (1, field.neg(1)) + (0,) * (q - 2)
+    params.check_word(shift)
+    if field.sum(shift) != 0:
+        raise ValueError(
+            f"the coset shift must have coordinate sum zero, got {shift!r}"
+        )
+    if shift in base:
+        raise ValueError(
+            f"the coset shift {shift!r} lies in the base code, so the translate "
+            f"coincides with it and the trade would be empty"
+        )
+    code = base.to_code()
+    return Bitrade(params, SPHERICAL, code.words, coset(field, code, shift).words)
 
 
 def tensor_combine(a: Bitrade, b: Bitrade) -> Bitrade:
@@ -224,7 +227,7 @@ def tensor_combine(a: Bitrade, b: Bitrade) -> Bitrade:
 
 def tensor_power(b: Bitrade, r: int) -> Bitrade:
     """The r-fold tensor_combine of a spherical bitrade with itself."""
-    if not isinstance(r, int) or r < 1:
+    if not is_int(r) or r < 1:
         raise ValueError(f"tensor power needs an integer r >= 1, got {r!r}")
     # checked before the first combine: volume 2^(r-1) v^r
     _refuse_above_ceiling(

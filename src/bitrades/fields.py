@@ -20,6 +20,8 @@ import functools
 import itertools
 from collections.abc import Iterable
 
+from .hamming import check_ceiling, is_int
+
 FIELD_SIZE_LIMIT = 512
 
 
@@ -89,11 +91,13 @@ class FieldTable:
     """Arithmetic for GF(p^k) modulo a monic irreducible ``modulus``; elements are 0..q-1.
 
     0 and 1 are the additive and multiplicative identities.  All methods
-    validate their operands; inv(0) raises ZeroDivisionError.  Tables are
-    immutable once built: treat instances as shared read-only values.
+    validate their operands; inv(0) raises ZeroDivisionError.  The tables
+    ``add_table[a][b]`` = a + b, ``mul_table[a][b]`` = a * b and
+    ``neg_table[a]`` = -a are read without validation, for speed.  Tables
+    are immutable once built: treat instances as shared read-only values.
     """
 
-    __slots__ = ("q", "p", "k", "modulus", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("q", "p", "k", "modulus", "add_table", "mul_table", "neg_table", "_inv")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         q = p**k
@@ -106,7 +110,7 @@ class FieldTable:
         for a in range(1, q):
             low, high = a % p, add[a // p]
             add.append(tuple([(low + b % p) % p + p * high[b // p] for b in range(q)]))
-        self._add = tuple(add)
+        self.add_table = tuple(add)
 
         # times_x[e] = x * e: shift e's digits up one place and fold the top
         # digit c back in as c * x^k, where x^k = -(the modulus below x^k).
@@ -125,9 +129,9 @@ class FieldTable:
             shifted = [times_x[u] for u in mul[h]]
             for low in mul[:p]:
                 mul.append(tuple([add[u][v] for u, v in zip(shifted, low)]))
-        self._mul = tuple(mul)
-        self._neg = tuple(row[p - 1] for row in mul)  # (p - 1) * a = -a
-        self._inv = (0,) + tuple(self._mul[a].index(1) for a in range(1, q))
+        self.mul_table = tuple(mul)
+        self.neg_table = tuple(row[p - 1] for row in mul)  # (p - 1) * a = -a
+        self._inv = (0,) + tuple(self.mul_table[a].index(1) for a in range(1, q))
 
     @property
     def elements(self) -> range:
@@ -139,26 +143,26 @@ class FieldTable:
     # -- operations ---------------------------------------------------------
 
     def _check(self, a: int) -> None:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        if not is_int(a) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element of GF({self.q})")
 
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        return self._add[a][b]
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
         self._check(a)
-        return self._neg[a]
+        return self.neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
         self._check(b)
-        return self.add(a, self._neg[b])
+        return self.add(a, self.neg_table[b])
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        return self._mul[a][b]
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         self._check(a)
@@ -180,10 +184,9 @@ class FieldTable:
 
 
 def _build_field(q: int) -> FieldTable:
-    if not isinstance(q, int) or q < 2:
+    if not is_int(q) or q < 2:
         raise ValueError(f"field size must be an integer >= 2, got {q!r}")
-    if q > FIELD_SIZE_LIMIT:
-        raise ValueError(f"field size {q} exceeds the supported limit {FIELD_SIZE_LIMIT}")
+    check_ceiling(q, FIELD_SIZE_LIMIT, f"to build GF({q})")
     factors = _factorize(q)
     if len(factors) != 1:
         text = " * ".join(str(p) if e == 1 else f"{p}^{e}" for p, e in factors)

@@ -21,9 +21,6 @@ from operator import getitem, is_, itemgetter, mul, ne, sub
 
 Word = tuple[int, ...]
 
-# Whole-graph and whole-code enumerations are refused above this many words.
-ENUMERATION_CEILING = 2**48
-
 
 def is_int(value: object) -> bool:
     """Whether value is an int other than a bool (bool subclasses int)."""
@@ -35,6 +32,12 @@ def power_text(value: int) -> str:
     base = next((b for b in range(2, math.isqrt(value) + 1) if value % b == 0), value)
     exponent = round(math.log(value, base))
     return f"{base}**{exponent}" if exponent > 1 and base**exponent == value else str(value)
+
+
+def check_ceiling(size: int, ceiling: int, what: str) -> None:
+    """Refuse ``what`` when size passes ceiling: every size refusal raises this ValueError."""
+    if size > ceiling:
+        raise ValueError(f"refusing {what}; the ceiling is {power_text(ceiling)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,17 +276,3 @@ def project(ids: Iterable[int], columns: list[list[int]], drop: Iterable[int]) -
     for i in drop:
         out = map(sub, out, columns[i])
     return out
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-
-
-def all_words(params: HammingParams) -> Iterator[Word]:
-    """Yield every vertex of H(n, q) in lexicographic order."""
-    if params.vertex_count > ENUMERATION_CEILING:
-        raise ValueError(
-            f"refusing to enumerate {params.q}**{params.n} words; "
-            f"the ceiling is {power_text(ENUMERATION_CEILING)}"
-        )
-    return iter(itertools.product(range(params.q), repeat=params.n))

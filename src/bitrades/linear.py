@@ -8,7 +8,10 @@ from itertools import chain, combinations
 from operator import getitem, itemgetter
 
 from .fields import FieldTable
-from .hamming import ENUMERATION_CEILING, Code, HammingParams, Word, power_text
+from .hamming import Code, HammingParams, Word, check_ceiling
+
+# Whole-code enumerations and MDS column-set tests are refused above this many.
+ENUMERATION_CEILING = 2**48
 
 
 class ParityCheckCode:
@@ -18,27 +21,19 @@ class ParityCheckCode:
     every row.  Enumeration sweeps the free coordinates in lexicographic
     order and solves for the pivot coordinates; pivots are chosen as far to
     the right as possible, so each emitted word is usually a free prefix
-    plus a solved suffix.  Entries are validated once, here; the row
-    reduction uses the field's operations and the enumeration reads its
-    tables directly.
+    plus a solved suffix.  Entries are validated once, here: each row is
+    a word of H(n, q).  The row reduction uses the field's operations and
+    the enumeration reads its tables directly.
     """
 
-    __slots__ = ("field", "n", "checks", "_pivots", "_reduced")
+    __slots__ = ("field", "n", "params", "checks", "_pivots", "_reduced")
 
     def __init__(self, field: FieldTable, n: int, checks):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"code length must be an integer >= 1, got {n!r}")
         self.field = field
         self.n = n
-        rows = []
-        for row in checks:
-            row = tuple(row)
-            if len(row) != n:
-                raise ValueError(f"check row {row!r} does not have length {n}")
-            for entry in row:
-                field._check(entry)
-            rows.append(row)
-        self.checks = tuple(rows)
+        self.params = HammingParams(n, field.q)
+        self.checks = tuple(map(tuple, checks))
+        self.params.check_words(self.checks)
         self._reduce()
 
     def _reduce(self) -> None:
@@ -70,10 +65,6 @@ class ParityCheckCode:
         self._reduced = tuple(tuple(reduced[i]) for i in order)
 
     @property
-    def params(self) -> HammingParams:
-        return HammingParams(self.n, self.field.q)
-
-    @property
     def rank(self) -> int:
         return len(self._pivots)
 
@@ -93,11 +84,7 @@ class ParityCheckCode:
 
         A pivot is minus its row's sum over the free coordinates, kept per free prefix.
         """
-        if self.size() > ENUMERATION_CEILING:
-            raise ValueError(
-                f"refusing to enumerate {self.size()} codewords; "
-                f"the ceiling is {power_text(ENUMERATION_CEILING)}"
-            )
+        check_ceiling(self.size(), ENUMERATION_CEILING, f"to enumerate {self.size()} codewords")
         f, rows = self.field, self._reduced
         free = [i for i in range(self.n) if i not in self._pivots]
         if not free:
@@ -105,15 +92,15 @@ class ParityCheckCode:
         # every free prefix but the last coordinate, with each row's sum over it
         level = [((), (0,) * len(rows))]
         for pos in free[:-1]:
-            terms = [tuple(f._mul[row[pos]][v] for row in rows) for v in f.elements]
+            terms = [tuple(f.mul_table[row[pos]][v] for row in rows) for v in f.elements]
             level = [
-                (prefix + (v,), tuple(map(getitem, map(f._add.__getitem__, sums), term)))
+                (prefix + (v,), tuple(map(getitem, map(f.add_table.__getitem__, sums), term)))
                 for prefix, sums in level
                 for v, term in enumerate(terms)
             ]
         # minus_sum[s][x] = -(s + x): one row of it solves a pivot for every last value
-        minus_sum = [tuple(map(f._neg.__getitem__, row)) for row in f._add]
-        last = [f._mul[row[free[-1]]] for row in rows]
+        minus_sum = [tuple(map(f.neg_table.__getitem__, row)) for row in f.add_table]
+        last = [f.mul_table[row[free[-1]]] for row in rows]
 
         def tails(sums: tuple[int, ...]) -> Iterator[Word]:
             return zip(f.elements, *(map(minus_sum[s].__getitem__, c) for s, c in zip(sums, last)))
@@ -160,7 +147,7 @@ def coset(field: FieldTable, code: Code, shift: Word) -> Code:
     if code.params.q != field.q:
         raise ValueError(f"code over GF({code.params.q}) but field is GF({field.q})")
     # adding s maps a to row s of the addition table
-    rows = [field._add[s] for s in shift]
+    rows = [field.add_table[s] for s in shift]
     shifted = frozenset(tuple(map(getitem, rows, w)) for w in code.words)
     return Code(code.params, shifted)
 
@@ -177,11 +164,7 @@ def verify_mds(code: ParityCheckCode) -> bool:
     ValueError.
     """
     n, r = code.n, code.rank
-    if math.comb(n, r) > ENUMERATION_CEILING:
-        raise ValueError(
-            f"refusing to test C({n}, {r}) column sets; "
-            f"the ceiling is {power_text(ENUMERATION_CEILING)}"
-        )
+    check_ceiling(math.comb(n, r), ENUMERATION_CEILING, f"to test C({n}, {r}) column sets")
     return r == 0 or all(
         ParityCheckCode(code.field, r, [[row[i] for i in chosen] for row in code._reduced]).rank == r
         for chosen in combinations(range(n), r)

@@ -67,7 +67,7 @@ from itertools import repeat
 from operator import or_
 
 from .construct import PERFECT, SPHERICAL, Bitrade, bitrade_kind
-from .hamming import HammingParams, VertexIndex, Word, is_int, power_text
+from .hamming import HammingParams, VertexIndex, Word, check_ceiling, is_int
 from .verify import definition_check
 
 # Whole-graph exhaustive search is refused above this vertex count.
@@ -436,12 +436,8 @@ class _RepairSearch:
 def _exhaustive(config: SearchConfig, kind: str) -> SearchResult:
     params = config.params
     total = params.vertex_count
-    if total > EXHAUSTIVE_CEILING:
-        raise ValueError(
-            f"exhaustive search over the {total} vertices of "
-            f"H({params.n}, {params.q}) refused; "
-            f"the ceiling is {power_text(EXHAUSTIVE_CEILING)}"
-        )
+    what = f"exhaustive search over the {total} vertices of H({params.n}, {params.q})"
+    check_ceiling(total, EXHAUSTIVE_CEILING, what)
     deadline = None if config.time_budget is None else time.monotonic() + config.time_budget
     engine = _RepairSearch(params, kind, config.volume_upper_bound, deadline)
 

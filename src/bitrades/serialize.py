@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 
 from .construct import KINDS, Bitrade
-from .hamming import HammingParams, Word
+from .hamming import HammingParams, Word, is_int
 
 FORMAT_VERSION = "1"
 
@@ -51,9 +51,7 @@ def from_document(doc: object) -> Bitrade:
             raise ValueError(f"{key} must be an array of words")
         words = []
         for entry in raw:
-            if not isinstance(entry, list) or not all(
-                isinstance(s, int) and not isinstance(s, bool) for s in entry
-            ):
+            if not isinstance(entry, list) or not all(map(is_int, entry)):
                 raise ValueError(f"every word in {key} must be an array of integers")
             words.append(tuple(entry))
         if len(set(words)) != len(words):

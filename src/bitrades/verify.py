@@ -25,7 +25,9 @@ from .hamming import (
     HammingParams,
     VertexIndex,
     Word,
+    check_ceiling,
     code_distance,
+    is_int,
     min_distance,
     project,
 )
@@ -286,15 +288,11 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
     |support|) are refused with ValueError.
     """
     n, q = f.params.n, f.params.q
-    if not isinstance(m, int) or not 1 <= m <= n + 1:
+    if not is_int(m) or not 1 <= m <= n + 1:
         raise ValueError(f"face-sum order m must be in 1..{n + 1}, got {m!r}")
     k = m - 1
-    work = math.comb(n, k) * max(1, len(f.values))
-    if work > FACE_WORK_CEILING:
-        raise ValueError(
-            f"face check of C({n}, {k}) position sets over {len(f.values)} words "
-            f"refused; the ceiling is {FACE_WORK_CEILING} projections"
-        )
+    what = f"a face check of C({n}, {k}) position sets over {len(f.values)} words"
+    check_ceiling(math.comb(n, k) * max(1, len(f.values)), FACE_WORK_CEILING, what)
     index = VertexIndex(f.params)
     parts = [index.digits(words) for words in f.parts()]
 

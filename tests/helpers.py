@@ -3,7 +3,7 @@ reference checks and the characterization votes."""
 
 import random
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import comb, inf
 
 from bitrades import (
@@ -14,7 +14,6 @@ from bitrades import (
     SPHERICAL,
     SignedFunction,
     VerificationReport,
-    all_words,
     definition_check,
     dist2_pair_check,
     eigen_check,
@@ -29,6 +28,11 @@ CORRUPTIONS = ("delete", "move", "replace")
 
 def random_word(params: HammingParams, rng: random.Random):
     return tuple(rng.randrange(params.q) for _ in range(params.n))
+
+
+def all_words(params: HammingParams):
+    """Reference: every vertex of H(n, q) in lexicographic order."""
+    return product(range(params.q), repeat=params.n)
 
 
 def sphere(params: HammingParams, center):

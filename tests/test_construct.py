@@ -249,15 +249,23 @@ def test_bitrade_helpers():
 
 # Each construction refuses, before it enumerates a word, a volume above
 # the construction ceiling: q!/2 for alt, 2^(r-1) v^r for a tensor power.
+# The MDS volumes depend on q alone, so GF(q) is never built for a refusal.
 @pytest.mark.parametrize("build,what", [
     (lambda: alt_bitrade(11), r"alt_bitrade\(11\)"),
     (lambda: tensor_power(alt_bitrade(5), 4), "4-fold tensor power of a volume-60"),
     (lambda: mds_bitrade(11, "swap"), "mds_bitrade"),
     (lambda: mds_bitrade(11, "coset"), "mds_bitrade"),
+    (lambda: mds_bitrade(509), r"mds_bitrade\(509, 'swap'\)"),
+    (lambda: mds_bitrade(1000), r"mds_bitrade\(1000, 'swap'\)"),
 ])
-def test_oversized_constructions_are_refused_at_once(build, what):
+def test_oversized_constructions_are_refused_at_once(monkeypatch, build, what):
+    def no_field(q):
+        raise AssertionError(f"GF({q}) was built for a refused construction")
+
+    monkeypatch.setattr(construct, "build_field", no_field)
     started = time.perf_counter()
-    with pytest.raises(ValueError, match=f"{what}.* more than 2\\*\\*19 words in each part"):
+    refusal = f"^refusing .*{what}.*: too many words in each part; the ceiling is 2\\*\\*19$"
+    with pytest.raises(ValueError, match=refusal):
         build()
     assert time.perf_counter() - started < 1.0
 

@@ -78,7 +78,7 @@ def test_field_axioms_exhaustive(q):
 def test_build_refuses_fields_above_the_dense_ceiling():
     # 625 = 5^4 is a prime power, but every field keeps dense q*q tables
     assert FIELD_SIZE_LIMIT == 512
-    with pytest.raises(ValueError, match="field size 625 exceeds the supported limit 512"):
+    with pytest.raises(ValueError, match=r"^refusing to build GF\(625\); the ceiling is 2\*\*9$"):
         build_field(625)
 
 

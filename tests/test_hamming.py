@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 
 from bitrades.hamming import (
     Code,
-    ENUMERATION_CEILING,
     HammingParams,
     VertexIndex,
-    all_words,
     code_distance,
     hamming_distance,
     min_distance,
     project,
 )
+from bitrades.linear import ENUMERATION_CEILING
 from bitrades.verify import WITNESS_LIMIT, definition_check
-from helpers import ball, brute_failures, sphere
+from helpers import all_words, ball, brute_failures, sphere
 
 # derandomized, so every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -231,8 +230,6 @@ def test_all_words_lexicographic():
 def test_enumeration_ceiling():
     big = HammingParams(49, 2)  # constructing the parameters is fine
     assert big.vertex_count == 2**49 > ENUMERATION_CEILING
-    with pytest.raises(ValueError):
-        all_words(big)
     # neighbourhood-local operations ignore the ceiling
     assert len(list(VertexIndex(big).sphere((0,) * 49))) == 49
 

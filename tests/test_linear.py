@@ -171,7 +171,7 @@ def test_parity_check_validation():
     f = build_field(3)
     with pytest.raises(ValueError):
         ParityCheckCode(f, 0, [])
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=r"^\(1, 1\) is not a word of H\(3, 3\)$"):
         ParityCheckCode(f, 3, [(1, 1)])
     with pytest.raises(ValueError):
         ParityCheckCode(f, 3, [(1, 1, 3)])
@@ -200,7 +200,8 @@ def test_enumeration_ceiling():
     c = ParityCheckCode(f, 50, [(0,) * 50])
     assert c.rank == 0
     assert c.size() == 2**50
-    with pytest.raises(ValueError, match="ceiling"):
+    refusal = r"^refusing to enumerate 1125899906842624 codewords; the ceiling is 2\*\*48$"
+    with pytest.raises(ValueError, match=refusal):
         next(c.words())
 
 
@@ -267,7 +268,8 @@ def test_verify_mds_refuses_too_many_column_sets():
     f = build_field(2)
     code = ParityCheckCode(f, 60, [tuple(int(j in (i, i + 30)) for j in range(60)) for i in range(30)])
     assert code.rank == 30
-    with pytest.raises(ValueError, match="ceiling"):
+    refusal = r"^refusing to test C\(60, 30\) column sets; the ceiling is 2\*\*48$"
+    with pytest.raises(ValueError, match=refusal):
         verify_mds(code)
 
 

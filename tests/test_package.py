@@ -1,12 +1,15 @@
 """The package's public surface."""
 
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import bitrades
-from bitrades import hamming, linear, search
+from bitrades import construct, fields, hamming, linear, search, verify
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bitrades"
 
 
 def test_every_exported_name_resolves():
@@ -31,19 +34,54 @@ def test_every_name_the_benchmark_calls_resolves():
 CEILINGS = [
     (search, "EXHAUSTIVE_CEILING", "3**10",
      lambda: bitrades.find_spherical(bitrades.SearchConfig(bitrades.HammingParams(12, 3)))),
-    (hamming, "ENUMERATION_CEILING", "2**48",
-     lambda: bitrades.all_words(bitrades.HammingParams(49, 2))),
     (linear, "ENUMERATION_CEILING", "2**48",
      lambda: next(bitrades.ParityCheckCode(bitrades.build_field(2), 50, [(0,) * 50]).words())),
+    (construct, "CONSTRUCTION_CEILING", "2**19", lambda: bitrades.alt_bitrade(11)),
+    (verify, "FACE_WORK_CEILING", "2**25",
+     lambda: bitrades.delsarte_face_check(
+         bitrades.SignedFunction(bitrades.HammingParams(40, 2), {(0,) * 40: 1, (1,) * 40: -1}), 20)),
+    (fields, "FIELD_SIZE_LIMIT", "2**9", lambda: bitrades.build_field(625)),
 ]
 
 
-@pytest.mark.parametrize("module,name,shown,refused", CEILINGS, ids=["search", "hamming", "linear"])
+@pytest.mark.parametrize(
+    "module,name,shown,refused", CEILINGS, ids=["search", "linear", "construct", "verify", "fields"]
+)
 def test_refusals_name_their_ceiling(monkeypatch, module, name, shown, refused):
-    with pytest.raises(ValueError, match=rf"the ceiling is {re.escape(shown)}$"):
+    with pytest.raises(ValueError, match=rf"^refusing .+; the ceiling is {re.escape(shown)}$"):
         refused()
     # the message follows the constant, not a literal
     for ceiling, text in ((100, "100"), (5**3, "5**3")):
         monkeypatch.setattr(module, name, ceiling)
-        with pytest.raises(ValueError, match=rf"the ceiling is {re.escape(text)}$"):
+        with pytest.raises(ValueError, match=rf"^refusing .+; the ceiling is {re.escape(text)}$"):
             refused()
+
+
+# Integer arguments are tested by hamming.is_int, so a bool is refused like any other non-int.
+@pytest.mark.parametrize("call", [
+    lambda: bitrades.build_field(3).add(True, 1),
+    lambda: bitrades.build_field(True),
+    lambda: bitrades.ParityCheckCode(bitrades.build_field(3), 3, [(True, 1, 1)]),
+    lambda: bitrades.ParityCheckCode(bitrades.build_field(3), True, [(1,)]),
+    lambda: bitrades.mds_bitrade(True),
+    lambda: bitrades.tensor_power(bitrades.alt_bitrade(3), True),
+    lambda: bitrades.delsarte_face_check(bitrades.SignedFunction(bitrades.HammingParams(3, 3), {}), True),
+], ids=[
+    "field-operand", "field-size", "check-entry", "code-length", "mds-q", "tensor-r", "face-order",
+])
+def test_bool_integer_arguments_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def _source_matches(pattern: str) -> int:
+    return sum(len(re.findall(pattern, path.read_text())) for path in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("pattern,owner", [
+    (re.escape("the ceiling is"), hamming.check_ceiling),
+    (r"isinstance\([^()]*,\s*int\)", hamming.is_int),
+], ids=["ceiling-refusal", "integer-test"])
+def test_package_wide_rules_are_written_once(pattern, owner):
+    # a second copy of a rule anywhere in src/ fails here
+    assert _source_matches(pattern) == len(re.findall(pattern, inspect.getsource(owner))) == 1

@@ -161,7 +161,8 @@ def test_parameter_feasibility_errors():
 
 
 def test_exhaustive_ceiling():
-    with pytest.raises(ValueError, match="ceiling is 3"):
+    refusal = r"^refusing exhaustive search over the 1594323 vertices of H\(13, 3\); the ceiling is 3\*\*10$"
+    with pytest.raises(ValueError, match=refusal):
         min_perfect_volume(SearchConfig(HammingParams(13, 3)))
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    all_words,
     brute_failures,
     characterization_votes,
     corrupt,
@@ -44,7 +45,7 @@ from bitrades import (
     tensor_combine,
     tensor_power,
 )
-from bitrades.hamming import all_words, hamming_distance
+from bitrades.hamming import hamming_distance
 from bitrades.verify import WITNESS_LIMIT
 
 
@@ -399,7 +400,8 @@ def test_delsarte_refuses_oversized_work():
     params = HammingParams(40, 2)
     f = SignedFunction(params, {(0,) * 40: 1, (1,) * 40: -1})
     started = time.perf_counter()
-    with pytest.raises(ValueError, match="ceiling"):
+    refusal = r"refusing a face check of C\(40, 19\) position sets over 2 words; the ceiling is 2\*\*25$"
+    with pytest.raises(ValueError, match=refusal):
         delsarte_face_check(f, delsarte_order(params, 0))
     assert time.perf_counter() - started < 0.5
 
