@@ -36,6 +36,12 @@ _EXISTENCE = {
 }
 
 
+def check_kind(kind: str) -> None:
+    """Refuse a kind other than SPHERICAL and PERFECT."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
 def bitrade_kind(params: HammingParams, kind: str | None = None) -> str:
     """The one kind of bitrade that H(n, q) can hold, checked against ``kind``.
 
@@ -45,6 +51,8 @@ def bitrade_kind(params: HammingParams, kind: str | None = None) -> str:
     q >= 2, at most one holds.  Raises ValueError when H(n, q) holds no
     bitrade, or none of the given kind.
     """
+    if kind is not None:
+        check_kind(kind)
     n, q = params.n, params.q
     fits = SPHERICAL if n % q == 0 else PERFECT if n % q == 1 else None
     if kind is None and fits is None:
@@ -78,8 +86,7 @@ class Bitrade:
     t1: frozenset[Word]
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        check_kind(self.kind)
         object.__setattr__(self, "t0", frozenset(self.t0))
         object.__setattr__(self, "t1", frozenset(self.t1))
         self.params.check_words(self.t0)

@@ -3,7 +3,7 @@
 The vertices of H(n, q) are the length-n words over {0, ..., q-1}; two
 words are adjacent when they differ in exactly one coordinate.  Words are
 plain tuples of ints and codes are immutable sets of words, so everything
-in this module is pure and safe to share.  ``VertexIndex`` numbers the
+in this module is pure and safe to share.  ``HammingParams`` numbers the
 vertices, and ``project`` on ids answers "do these words agree off the
 coordinates D?" for every distance, face sum and distance-profile count.
 Counting, over each D of size 1 (of size 2), the words of a set that agree
@@ -13,6 +13,7 @@ counts those at distance j from w.  Distances are exact at every size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Collection, Iterable, Iterator
@@ -40,9 +41,16 @@ def check_ceiling(size: int, ceiling: int, what: str) -> None:
         raise ValueError(f"refusing {what}; the ceiling is {power_text(ceiling)}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class HammingParams:
-    """Parameters (n, q) of the Hamming graph H(n, q)."""
+    """The Hamming graph H(n, q), with integer ids for its vertices.
+
+    A word's id is its value in base q with the first coordinate most
+    significant, so ids sort like words.  Changing coordinate i from a to
+    s adds (s - a) * q^(n-1-i) to the id; neighbourhoods read those
+    offsets from tables, built once per graph on first use, and list ids
+    by changed position, then symbol.
+    """
 
     n: int
     q: int
@@ -91,6 +99,77 @@ class HammingParams:
                 return
         for w in words:
             self.check_word(w)
+
+    @functools.cached_property
+    def weights(self) -> tuple[int, ...]:
+        """The place values q^(n-1-i) of the positions i."""
+        n, q = self.n, self.q
+        return tuple(q ** (n - 1 - i) for i in range(n))
+
+    @functools.cached_property
+    def _steps(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """_steps[i][a]: the id offsets (s - a) * w of the q-1 other symbols s at position i."""
+        q = self.q
+        return tuple(
+            tuple(tuple(range(-a * w, 0, w)) + tuple(range(w, (q - a) * w, w)) for a in range(q))
+            for w in self.weights
+        )
+
+    def encode(self, word: Word) -> int:
+        return sum(map(mul, word, self.weights))
+
+    def decode(self, v: int) -> Word:
+        return tuple(v // w % self.q for w in self.weights)
+
+    def sphere(self, word: Word) -> Iterator[int]:
+        """Ids at distance 1, by increasing changed position, then symbol."""
+        steps = itertools.chain.from_iterable(map(getitem, self._steps, word))
+        return map(self.encode(word).__add__, steps)
+
+    def ball(self, word: Word) -> Iterator[int]:
+        """The word's own id, then its sphere."""
+        return itertools.chain((self.encode(word),), self.sphere(word))
+
+    def blocks(self, words: Iterable[Word], ball: bool = False) -> Iterator[Iterator[int]]:
+        """The words' sphere (or ball) ids split into q blocks by first symbol.
+
+        Block v holds the hits y with y[0] = v.  A word with first symbol a
+        puts its changes at positions 1..n-1 (and for a ball its own id) in
+        block a, and one id in each other block v: its own plus (v - a) *
+        q^(n-1).  So every hit is listed once, in its own block, and the
+        blocks together list what ``sphere`` or ``ball`` list word by word.
+        """
+        q, lead = self.q, self.weights[0]
+        # position 0 moves a word to another block, so it adds nothing here
+        inner = (((),) * q,) + self._steps[1:]
+        groups: list[list[Word]] = [[] for _ in range(q)]
+        for w in words:
+            groups[w[0]].append(w)
+        ids = [list(map(self.encode, group)) for group in groups]
+        for v in range(q):
+            near = (
+                map(x.__add__, itertools.chain.from_iterable(map(getitem, inner, w)))
+                for x, w in zip(ids[v], groups[v])
+            )
+            far = (map(((v - a) * lead).__add__, ids[a]) for a in range(q) if a != v)
+            yield itertools.chain(
+                ids[v] if ball else (),
+                itertools.chain.from_iterable(near),
+                itertools.chain.from_iterable(far),
+            )
+
+    def digits(self, words: Iterable[Word]) -> tuple[list[int], list[list[int]]]:
+        """The words' ids, and per position i the column of their digits s * q^(n-1-i).
+
+        Column entries refer into one table per position, so no per-word ints are made.
+        """
+        words = list(words)
+        q = self.q
+        columns = [
+            list(map(tuple(range(0, q * w, w)).__getitem__, map(itemgetter(i), words)))
+            for i, w in enumerate(self.weights)
+        ]
+        return list(map(sum, zip(*columns))), columns
 
 
 @dataclass(frozen=True)
@@ -147,7 +226,7 @@ def min_distance(code: Code) -> int | float:
         return math.inf
     n, q = code.params.n, code.params.q
     top = max(k for k in range(n) if q ** (n - k) >= size)
-    ids, columns = VertexIndex(code.params).digits(words)
+    ids, columns = code.params.digits(words)
 
     def merges(k: int) -> bool:
         return any(
@@ -175,7 +254,7 @@ def code_distance(c: Code, d: Code) -> int | float:
     if not c.words or not d.words:
         return math.inf
     n = c.params.n
-    cx, dx = map(VertexIndex(c.params).digits, (c.words, d.words))
+    cx, dx = map(c.params.digits, (c.words, d.words))
     for k in range(n):
         if math.comb(n, k) * (len(c) + len(d)) > len(c) * len(d):
             return _pairwise(itertools.product(c.words, d.words), k)
@@ -183,88 +262,6 @@ def code_distance(c: Code, d: Code) -> int | float:
             if not set(project(*cx, drop)).isdisjoint(project(*dx, drop)):
                 return k
     return n
-
-
-# ---------------------------------------------------------------------------
-# the integer kernel
-
-
-class VertexIndex:
-    """Integer ids for the vertices of H(n, q), and neighbourhoods as ids.
-
-    A word's id is its value in base q with the first coordinate most
-    significant, so ids sort like words.  Changing coordinate i from a to
-    s adds (s - a) * q^(n-1-i) to the id; neighbourhoods read those
-    offsets from tables and list ids by changed position, then symbol.
-    """
-
-    __slots__ = ("params", "weights", "_steps")
-
-    def __init__(self, params: HammingParams) -> None:
-        n, q = params.n, params.q
-        self.params = params
-        self.weights = tuple(q ** (n - 1 - i) for i in range(n))
-        # _steps[i][a]: the id offsets (s - a) * w of the q-1 other symbols s at position i
-        self._steps = tuple(
-            tuple(tuple(range(-a * w, 0, w)) + tuple(range(w, (q - a) * w, w)) for a in range(q))
-            for w in self.weights
-        )
-
-    def encode(self, word: Word) -> int:
-        return sum(map(mul, word, self.weights))
-
-    def decode(self, v: int) -> Word:
-        return tuple(v // w % self.params.q for w in self.weights)
-
-    def sphere(self, word: Word) -> Iterator[int]:
-        """Ids at distance 1, by increasing changed position, then symbol."""
-        steps = itertools.chain.from_iterable(map(getitem, self._steps, word))
-        return map(self.encode(word).__add__, steps)
-
-    def ball(self, word: Word) -> Iterator[int]:
-        """The word's own id, then its sphere."""
-        return itertools.chain((self.encode(word),), self.sphere(word))
-
-    def blocks(self, words: Iterable[Word], ball: bool = False) -> Iterator[Iterator[int]]:
-        """The words' sphere (or ball) ids split into q blocks by first symbol.
-
-        Block v holds the hits y with y[0] = v.  A word with first symbol a
-        puts its changes at positions 1..n-1 (and for a ball its own id) in
-        block a, and one id in each other block v: its own plus (v - a) *
-        q^(n-1).  So every hit is listed once, in its own block, and the
-        blocks together list what ``sphere`` or ``ball`` list word by word.
-        """
-        q, lead = self.params.q, self.weights[0]
-        # position 0 moves a word to another block, so it adds nothing here
-        inner = (((),) * q,) + self._steps[1:]
-        groups: list[list[Word]] = [[] for _ in range(q)]
-        for w in words:
-            groups[w[0]].append(w)
-        ids = [list(map(self.encode, group)) for group in groups]
-        for v in range(q):
-            near = (
-                map(x.__add__, itertools.chain.from_iterable(map(getitem, inner, w)))
-                for x, w in zip(ids[v], groups[v])
-            )
-            far = (map(((v - a) * lead).__add__, ids[a]) for a in range(q) if a != v)
-            yield itertools.chain(
-                ids[v] if ball else (),
-                itertools.chain.from_iterable(near),
-                itertools.chain.from_iterable(far),
-            )
-
-    def digits(self, words: Iterable[Word]) -> tuple[list[int], list[list[int]]]:
-        """The words' ids, and per position i the column of their digits s * q^(n-1-i).
-
-        Column entries refer into one table per position, so no per-word ints are made.
-        """
-        words = list(words)
-        q = self.params.q
-        columns = [
-            list(map(tuple(range(0, q * w, w)).__getitem__, map(itemgetter(i), words)))
-            for i, w in enumerate(self.weights)
-        ]
-        return list(map(sum, zip(*columns))), columns
 
 
 def project(ids: Iterable[int], columns: list[list[int]], drop: Iterable[int]) -> Iterator[int]:

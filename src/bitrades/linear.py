@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain, combinations
 from operator import getitem, itemgetter
 
@@ -89,15 +89,20 @@ class ParityCheckCode:
         free = [i for i in range(self.n) if i not in self._pivots]
         if not free:
             return iter([(0,) * self.n])
-        # every free prefix but the last coordinate, with each row's sum over it
-        level = [((), (0,) * len(rows))]
+
+        def extend(level: Iterable[tuple], terms: list[tuple[int, ...]]) -> Iterator[tuple]:
+            # each prefix followed by each value v, the row sums plus v's terms
+            for prefix, sums in level:
+                adders = list(map(f.add_table.__getitem__, sums))
+                for v, term in enumerate(terms):
+                    yield prefix + (v,), tuple(map(getitem, adders, term))
+
+        # every free prefix but the last coordinate, with each row's sum over
+        # it, streamed: one prefix per level is held at a time
+        level: Iterable[tuple] = [((), (0,) * len(rows))]
         for pos in free[:-1]:
             terms = [tuple(f.mul_table[row[pos]][v] for row in rows) for v in f.elements]
-            level = [
-                (prefix + (v,), tuple(map(getitem, map(f.add_table.__getitem__, sums), term)))
-                for prefix, sums in level
-                for v, term in enumerate(terms)
-            ]
+            level = extend(level, terms)
         # minus_sum[s][x] = -(s + x): one row of it solves a pivot for every last value
         minus_sum = [tuple(map(f.neg_table.__getitem__, row)) for row in f.add_table]
         last = [f.mul_table[row[free[-1]]] for row in rows]

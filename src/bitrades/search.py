@@ -62,12 +62,12 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import cache, reduce
 from itertools import repeat
 from operator import or_
 
 from .construct import PERFECT, SPHERICAL, Bitrade, bitrade_kind
-from .hamming import HammingParams, VertexIndex, Word, check_ceiling, is_int
+from .hamming import HammingParams, Word, check_ceiling, is_int
 from .verify import definition_check
 
 # Whole-graph exhaustive search is refused above this vertex count.
@@ -227,8 +227,8 @@ class _RepairSearch:
     """
 
     __slots__ = (
-        "params", "kind", "index", "size", "allowed", "deadline", "full", "cap", "scale",
-        "steps", "masks", "keeps", "parts", "nodes", "exhausted", "best",
+        "params", "kind", "size", "allowed", "deadline", "full", "cap", "scale",
+        "steps", "mask", "keep", "parts", "nodes", "exhausted", "best",
     )
 
     def __init__(
@@ -237,7 +237,6 @@ class _RepairSearch:
         q = params.q
         self.params = params
         self.kind = kind
-        self.index = VertexIndex(params)
         self.size = params.degree + (1 if kind == PERFECT else 0)
         self.deadline = deadline
         self.full = (1 << params.vertex_count) - 1
@@ -247,15 +246,17 @@ class _RepairSearch:
         self.scale = math.lcm(*range(1, self.size + 1))
         # (the ids whose digit stays below q, shift up, the rest, shift down)
         self.steps: list[tuple[int, int, int, int]] = []
-        for w in self.index.weights:
+        for w in params.weights:
             # the ids whose digits from this coordinate on are all 0
             spaced = self.full // ((1 << q * w) - 1)
             for d in range(1, q):
                 low = ((1 << (q - d) * w) - 1) * spaced
                 high = (((1 << d * w) - 1) << (q - d) * w) * spaced
                 self.steps.append((low, d * w, high, (q - d) * w))
-        self.masks: dict[int, int] = {}
-        self.keeps: dict[int, int] = {}
+        # x's neighbourhood, and the words a part holding w may still take
+        # (those whose neighbourhood misses w's), each built on first use
+        self.mask = cache(lambda x: self.dilate(1 << x))
+        self.keep = cache(lambda w: self.full ^ self.dilate(self.mask(w)))
         self.parts: tuple[list[int], list[int]] = ([], [])
         self.nodes = 0
         self.exhausted = False
@@ -273,22 +274,6 @@ class _RepairSearch:
     def dilate(self, xs: int) -> int:
         """The union of the neighbourhoods of the vertices in xs."""
         return reduce(or_, self.moved(xs))
-
-    def mask(self, x: int) -> int:
-        """x's neighbourhood."""
-        got = self.masks.get(x)
-        if got is None:
-            got = self.dilate(1 << x)
-            self.masks[x] = got
-        return got
-
-    def keep(self, w: int) -> int:
-        """The words a part holding w may still take: those whose neighbourhood misses w's."""
-        got = self.keeps.get(w)
-        if got is None:
-            got = self.full ^ self.dilate(self.mask(w))
-            self.keeps[w] = got
-        return got
 
     def need(self, lack: int, free: int) -> int | None:
         """A lower bound on the words a part must still add, or None when no
@@ -337,7 +322,7 @@ class _RepairSearch:
         """The least candidate of each orbit of the automorphisms fixing x and
         the placed words, and whether that group may still be nontrivial
         below this node (see _orbit_key)."""
-        decode = self.index.decode
+        decode = self.params.decode
         part0, part1 = self.parts
         key = _orbit_key([*map(decode, part0), *map(decode, part1)], decode(x), self.params.q)
         if key is None:
@@ -409,20 +394,17 @@ class _RepairSearch:
         # Branch on the least vertex t1 lacks, else the least t0 lacks.
         side, lack, free = (1, lack1, free1) if lack1 else (0, lack0, free0)
         vertex = (lack & -lack).bit_length() - 1
-        masks = self.masks
-        cands = (masks.get(vertex) or self.mask(vertex)) & free
+        cands = self.mask(vertex) & free
         if not cands:
             return
         if orbits and cands & (cands - 1):
             cands, orbits = self.representatives(vertex, cands)
         part = self.parts[side]
-        keeps = self.keeps
         while cands:
             below = cands - 1
             w = (cands ^ below).bit_length() - 1
             cands &= below
-            m = masks.get(w) or self.mask(w)
-            keep = keeps.get(w) or self.keep(w)
+            m, keep = self.mask(w), self.keep(w)
             part.append(w)
             if side:
                 self.dfs(cov0, cov1 | m, free0, free1 & keep, orbits)
@@ -460,6 +442,10 @@ def _exhaustive(config: SearchConfig, kind: str) -> SearchResult:
                 break
     finally:
         sys.setrecursionlimit(old_limit)
+        # mask and keep refer back to the engine, a cycle only a gc pass would
+        # free, so their tables are dropped here
+        engine.mask.cache_clear()
+        engine.keep.cache_clear()
     return _result(params, kind, engine.best, not engine.exhausted, engine.nodes, started)
 
 
@@ -471,8 +457,7 @@ def _result(
     wall = time.perf_counter() - started
     best = None
     if best_ids is not None:
-        decode = VertexIndex(params).decode
-        best = Bitrade(params, kind, *(frozenset(map(decode, ids)) for ids in best_ids))
+        best = Bitrade(params, kind, *(frozenset(map(params.decode, ids)) for ids in best_ids))
         if not definition_check(best.params, best.kind, best.t0, best.t1).passed:
             raise RuntimeError("internal error: search produced an invalid bitrade")
     return SearchResult(best, proven, nodes, wall)
@@ -500,11 +485,13 @@ class _LocalState:
     each sums at most 2 * size.
     """
 
-    __slots__ = ("index", "_hood", "_ids", "code", "k", "bad", "gain", "width", "parts", "violated")
+    __slots__ = (
+        "params", "_hood", "_ids", "code", "k", "bad", "gain", "width", "parts", "violated",
+    )
 
     def __init__(self, params: HammingParams, kind: str) -> None:
-        self.index = VertexIndex(params)
-        self._hood = self.index.ball if kind == PERFECT else self.index.sphere
+        self.params = params
+        self._hood = params.ball if kind == PERFECT else params.sphere
         self._ids: dict[int, tuple[int, ...]] = {}
         size = params.degree + (1 if kind == PERFECT else 0)
         k = self.k = size + 2
@@ -535,7 +522,7 @@ class _LocalState:
         if got is None:
             if len(self._ids) >= IDS_CACHE_LIMIT:
                 self._ids.clear()
-            got = tuple(sorted(self._hood(self.index.decode(x))))
+            got = tuple(sorted(self._hood(self.params.decode(x))))
             self._ids[x] = got
         return got
 
@@ -643,7 +630,7 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
         if start is not None:
             for side, words in ((0, start.t0), (1, start.t1)):
                 for word in words:
-                    state.toggle(state.index.encode(word), side, True)
+                    state.toggle(params.encode(word), side, True)
             if state.parts[0]:
                 pinned.add(min(state.parts[0]))
         else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .construct import KINDS, Bitrade
+from .construct import Bitrade, check_kind
 from .hamming import HammingParams, Word, is_int
 
 FORMAT_VERSION = "1"
@@ -61,18 +61,12 @@ def from_document(doc: object) -> Bitrade:
 
 
 def dumps_json(b: Bitrade) -> str:
-    doc = to_document(b)
-    compact = {k: json.dumps(doc[k], separators=(",", ":")) for k in ("t0", "t1")}
-    return (
-        "{\n"
-        f'  "format_version": "{FORMAT_VERSION}",\n'
-        f'  "n": {doc["n"]},\n'
-        f'  "q": {doc["q"]},\n'
-        f'  "kind": "{doc["kind"]}",\n'
-        f'  "t0": {compact["t0"]},\n'
-        f'  "t1": {compact["t1"]}\n'
-        "}\n"
+    """The document one key per line, each value in compact JSON."""
+    lines = (
+        f"  {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
+        for key, value in to_document(b).items()
     )
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def loads_json(text: str) -> Bitrade:
@@ -103,8 +97,10 @@ def loads_text(text: str) -> Bitrade:
     except ValueError:
         raise ValueError(f"line 1: n and q must be integers, got {lines[0]!r}") from None
     kind = header[2]
-    if kind not in KINDS:
-        raise ValueError(f"line 1: kind must be one of {KINDS}, got {kind!r}")
+    try:
+        check_kind(kind)
+    except ValueError as e:
+        raise ValueError(f"line 1: {e}") from None
     params = HammingParams(n, q)
 
     parts: tuple[set[Word], set[Word]] = (set(), set())

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from operator import add
 
-from .construct import PERFECT, SPHERICAL, Bitrade
+from .construct import PERFECT, SPHERICAL, Bitrade, check_kind
 from .hamming import (
     Code,
     HammingParams,
-    VertexIndex,
     Word,
     check_ceiling,
     code_distance,
@@ -116,19 +115,17 @@ def definition_check(
     (the supports and their neighbourhoods); every other vertex counts
     (0, 0) and passes.
     """
-    if kind not in (SPHERICAL, PERFECT):
-        raise ValueError(f"kind must be 'spherical' or 'perfect', got {kind!r}")
+    check_kind(kind)
     set0, set1 = frozenset(t0), frozenset(t1)
     if set0 & set1:
         raise ValueError("parts must be disjoint")
     params.check_words(set0)
     params.check_words(set1)
 
-    index = VertexIndex(params)
     ball = kind == PERFECT
     failures: list[tuple] = []
     touched = 0
-    for hits0, hits1 in zip(index.blocks(set0, ball), index.blocks(set1, ball)):
+    for hits0, hits1 in zip(params.blocks(set0, ball), params.blocks(set1, ball)):
         counts0, counts1 = Counter(hits0), Counter(hits1)
         # equal counters with no count above 1 leave nothing to report
         if dict.__eq__(counts0, counts1) and max(counts0.values(), default=0) <= 1:
@@ -140,7 +137,7 @@ def definition_check(
         for x in keys:
             c0, c1 = get0(x, 0), get1(x, 0)
             if c0 != c1 or c0 > 1:
-                failures.append((index.decode(x), c0, c1))
+                failures.append((params.decode(x), c0, c1))
 
     return _report("definition", failures, {"vertices_checked": touched})
 
@@ -162,16 +159,16 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
             f"the check can only fail",
             stacklevel=2,
         )
-    index = VertexIndex(f.params)
+    params = f.params
     plus, minus = f.parts()
     # the support's values, split into the blocks of their first symbol
-    signs: list[dict[int, int]] = [{} for _ in range(f.params.q)]
+    signs: list[dict[int, int]] = [{} for _ in range(params.q)]
     for w, value in f.values.items():
-        signs[w[0]][index.encode(w)] = value
+        signs[w[0]][params.encode(w)] = value
 
     failures: list[tuple] = []
     checked = 0
-    for sign, hits_up, hits_down in zip(signs, index.blocks(plus), index.blocks(minus)):
+    for sign, hits_up, hits_down in zip(signs, params.blocks(plus), params.blocks(minus)):
         up, down = Counter(hits_up), Counter(hits_down)
         # for eigenvalue 0 the equation holds exactly when the hit counts agree
         if not eigenvalue and dict.__eq__(up, down):
@@ -183,7 +180,7 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
             lhs = eigenvalue * sign.get(x, 0)
             rhs = up.get(x, 0) - down.get(x, 0)
             if lhs != rhs:
-                failures.append((index.decode(x), lhs, rhs))
+                failures.append((params.decode(x), lhs, rhs))
     return _report("eigen", failures, {"eigenvalue": eigenvalue, "vertices_checked": checked})
 
 
@@ -208,8 +205,7 @@ def dist2_pair_check(
     (n-1)*a1 + a2, S1 (S2) summing over position sets D of size 1 (2) the
     opposite words agreeing with it off D; a0 is 1 if it is in both parts.
     """
-    if kind not in (SPHERICAL, PERFECT):
-        raise ValueError(f"kind must be 'spherical' or 'perfect', got {kind!r}")
+    check_kind(kind)
     set0, set1 = frozenset(t0), frozenset(t1)
     n, q = params.n, params.q
     if not set0 and not set1:
@@ -231,9 +227,8 @@ def dist2_pair_check(
         expected_pairs = (q - 1) * (n - 1) // 2
         details = {"expected_distance2": expected_pairs, "expected_distance1": 1}
 
-    index = VertexIndex(params)
     words = list(set0), list(set1)
-    digits = [index.digits(part) for part in words]
+    digits = [params.digits(part) for part in words]
 
     def agreements(side: int, size: int) -> list[int]:
         """Per word of one side: the opposite words that agree with it off D, over |D| = size."""
@@ -293,8 +288,7 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
     k = m - 1
     what = f"a face check of C({n}, {k}) position sets over {len(f.values)} words"
     check_ceiling(math.comb(n, k) * max(1, len(f.values)), FACE_WORK_CEILING, what)
-    index = VertexIndex(f.params)
-    parts = [index.digits(words) for words in f.parts()]
+    parts = [f.params.digits(words) for words in f.parts()]
 
     failures: list[tuple] = []
     faces_with_support = 0
@@ -310,7 +304,8 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
             a, b = up.get(key, 0), down.get(key, 0)
             # a lone nonzero value makes the sum nonzero too
             if a != b:
-                fixed = tuple((p + 1, key // index.weights[p] % q) for p in positions)
+                face = f.params.decode(key)
+                fixed = tuple((p + 1, face[p]) for p in positions)
                 failures.append(("zero_sum", fixed, a - b))
                 if a + b == 1:
                     failures.append(("support", fixed, 1))

@@ -20,7 +20,6 @@ from bitrades import (
     hamming_distance,
     min_distance,
 )
-from bitrades.hamming import VertexIndex
 from bitrades.verify import WITNESS_LIMIT
 
 CORRUPTIONS = ("delete", "move", "replace")
@@ -106,7 +105,7 @@ def reference_report(criterion: str, failures: list[tuple], details: dict) -> Ve
 
 def definition_reference(params, kind, t0, t1) -> VerificationReport:
     """definition_check counted with one Counter per part over every hit at once."""
-    index = VertexIndex(params)
+    index = params
     hood = index.ball if kind == PERFECT else index.sphere
     counts0, counts1 = (Counter(chain.from_iterable(map(hood, part))) for part in (t0, t1))
     touched = counts0.keys() | counts1.keys()
@@ -120,7 +119,7 @@ def definition_reference(params, kind, t0, t1) -> VerificationReport:
 
 def eigen_reference(f: SignedFunction, eigenvalue: int) -> VerificationReport:
     """eigen_check counted with one Counter per sign over every sphere hit at once."""
-    index = VertexIndex(f.params)
+    index = f.params
     plus, minus = f.parts()
     up, down = (Counter(chain.from_iterable(map(index.sphere, part))) for part in (plus, minus))
     sign = {index.encode(w): value for w, value in f.values.items()}

@@ -227,8 +227,12 @@ def test_bitrade_rejects_infeasible_parameters():
 
 def test_bitrade_rejects_bad_kind_and_words():
     p = HammingParams(3, 3)
-    with pytest.raises(ValueError):
-        Bitrade(p, "orbital", frozenset(), frozenset())
+    for refused in (
+        lambda: Bitrade(p, "orbital", frozenset(), frozenset()),
+        lambda: construct.bitrade_kind(p, "foo"),  # once a KeyError
+    ):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            refused()
     with pytest.raises(ValueError):
         Bitrade(p, SPHERICAL, frozenset({(0, 1, 3)}), frozenset())
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from bitrades.hamming import (
     Code,
     HammingParams,
-    VertexIndex,
     code_distance,
     hamming_distance,
     min_distance,
@@ -231,7 +230,7 @@ def test_enumeration_ceiling():
     big = HammingParams(49, 2)  # constructing the parameters is fine
     assert big.vertex_count == 2**49 > ENUMERATION_CEILING
     # neighbourhood-local operations ignore the ceiling
-    assert len(list(VertexIndex(big).sphere((0,) * 49))) == 49
+    assert len(list(big.sphere((0,) * 49))) == 49
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,7 @@ def with_edge_cases(test):
 @with_edge_cases
 def test_encode_decode_round_trip(case):
     params, word = case
-    index = VertexIndex(params)
+    index = params
     v = index.encode(word)
     assert 0 <= v < params.vertex_count
     assert index.decode(v) == word
@@ -280,7 +279,7 @@ def test_encode_decode_round_trip(case):
 @with_edge_cases
 def test_kernel_neighbourhoods_match_word_versions(case):
     params, word = case
-    index = VertexIndex(params)
+    index = params
     assert list(index.sphere(word)) == [index.encode(w) for w in sphere(params, word)]
     assert list(index.ball(word)) == [index.encode(w) for w in ball(params, word)]
     # projections: the word, its sphere (pairs at distance 1 and 2), its shift
@@ -306,7 +305,7 @@ def test_blocks_split_the_neighbourhood_hits_by_first_symbol(q):
     rng = random.Random(q)
     for n in (1, 2, 3, 4):
         params = HammingParams(n, q)
-        index = VertexIndex(params)
+        index = params
         for _ in range(10):
             size = rng.randrange(min(params.vertex_count, 30) + 1)
             words = rng.sample(list(all_words(params)), size)
@@ -320,16 +319,19 @@ def test_blocks_split_the_neighbourhood_hits_by_first_symbol(q):
 
 
 def test_kernel_small_cases():
-    index = VertexIndex(HammingParams(1, 2))
+    index = HammingParams(1, 2)
     assert list(index.sphere((0,))) == [1]
     assert list(index.ball((1,))) == [1, 0]
-    index = VertexIndex(HammingParams(3, 3))
+    index = HammingParams(3, 3)
     assert index.encode((1, 2, 0)) == 15
     assert index.decode(15) == (1, 2, 0)
     assert list(index.sphere((0, 0, 0))) == [9, 18, 3, 6, 1, 2]
+    # the tables are built once per graph and take no part in equality
+    assert index.weights is index.weights
+    assert index == HammingParams(3, 3) and hash(index) == hash(HammingParams(3, 3))
     # ids number the words in lexicographic order
     for params in (HammingParams(1, 5), HammingParams(3, 3), HammingParams(6, 2)):
-        index = VertexIndex(params)
+        index = params
         assert list(map(index.encode, all_words(params))) == list(range(params.vertex_count))
 
 
@@ -342,7 +344,7 @@ def small_pairs(draw):
         st.lists(st.integers(0, params.vertex_count - 1), unique=True, max_size=10)
     )
     cut = draw(st.integers(0, len(words)))
-    index = VertexIndex(params)
+    index = params
     kind = draw(st.sampled_from(["spherical", "perfect"]))
     t0 = frozenset(map(index.decode, words[:cut]))
     t1 = frozenset(map(index.decode, words[cut:]))

@@ -140,7 +140,7 @@ def test_covering_bound_never_exceeds_the_fewest_words_a_completion_adds(kind, n
     ball = kind == PERFECT
     params = HammingParams(n, q)
     engine = search_module._RepairSearch(params, kind, params.vertex_count, None)
-    encode = engine.index.encode
+    encode = engine.params.encode
     words = list(itertools.product(range(q), repeat=n))
     rng = random.Random(10 * n + q)
     beats_packing = tight = ended = 0

@@ -81,7 +81,9 @@ def _source_matches(pattern: str) -> int:
 @pytest.mark.parametrize("pattern,owner", [
     (re.escape("the ceiling is"), hamming.check_ceiling),
     (r"isinstance\([^()]*,\s*int\)", hamming.is_int),
-], ids=["ceiling-refusal", "integer-test"])
+    (re.escape("kind must be"), construct.check_kind),
+    (r"q\s*\*\*\s*\(\s*n\s*-\s*1\s*-\s*i\s*\)", hamming.HammingParams.weights.func),
+], ids=["ceiling-refusal", "integer-test", "kind-check", "place-values"])
 def test_package_wide_rules_are_written_once(pattern, owner):
     # a second copy of a rule anywhere in src/ fails here
     assert _source_matches(pattern) == len(re.findall(pattern, inspect.getsource(owner))) == 1
