@@ -126,18 +126,15 @@ class HammingParams:
         steps = itertools.chain.from_iterable(map(getitem, self._steps, word))
         return map(self.encode(word).__add__, steps)
 
-    def ball(self, word: Word) -> Iterator[int]:
-        """The word's own id, then its sphere."""
-        return itertools.chain((self.encode(word),), self.sphere(word))
+    def blocks(self, words: Iterable[Word]) -> Iterator[tuple[list[int], Iterator[int]]]:
+        """Per first symbol v, the ids of the words starting with v and their sphere hits there.
 
-    def blocks(self, words: Iterable[Word], ball: bool = False) -> Iterator[Iterator[int]]:
-        """The words' sphere (or ball) ids split into q blocks by first symbol.
-
-        Block v holds the hits y with y[0] = v.  A word with first symbol a
-        puts its changes at positions 1..n-1 (and for a ball its own id) in
-        block a, and one id in each other block v: its own plus (v - a) *
-        q^(n-1).  So every hit is listed once, in its own block, and the
-        blocks together list what ``sphere`` or ``ball`` list word by word.
+        Block v's hits are the ids y with y[0] = v.  A word with first
+        symbol a puts its changes at positions 1..n-1 in block a, and one
+        id in each other block v: its own plus (v - a) * q^(n-1).  So every
+        hit is listed once, in its own block, and the blocks together list
+        what ``sphere`` lists word by word.  A ball is the word plus its
+        sphere: a block's own ids and its hits.
         """
         q, lead = self.q, self.weights[0]
         # position 0 moves a word to another block, so it adds nothing here
@@ -152,11 +149,7 @@ class HammingParams:
                 for x, w in zip(ids[v], groups[v])
             )
             far = (map(((v - a) * lead).__add__, ids[a]) for a in range(q) if a != v)
-            yield itertools.chain(
-                ids[v] if ball else (),
-                itertools.chain.from_iterable(near),
-                itertools.chain.from_iterable(far),
-            )
+            yield ids[v], itertools.chain.from_iterable(itertools.chain(near, far))
 
     def digits(self, words: Iterable[Word]) -> tuple[list[int], list[list[int]]]:
         """The words' ids, and per position i the column of their digits s * q^(n-1-i).

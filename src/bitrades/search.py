@@ -486,15 +486,17 @@ class _LocalState:
     """
 
     __slots__ = (
-        "params", "_hood", "_ids", "code", "k", "bad", "gain", "width", "parts", "violated",
+        "params", "perfect", "_ids", "code", "k", "step", "bad", "gain", "width", "parts", "violated",
     )
 
     def __init__(self, params: HammingParams, kind: str) -> None:
         self.params = params
-        self._hood = params.ball if kind == PERFECT else params.sphere
+        self.perfect = kind == PERFECT
         self._ids: dict[int, tuple[int, ...]] = {}
-        size = params.degree + (1 if kind == PERFECT else 0)
+        size = params.degree + (1 if self.perfect else 0)
         k = self.k = size + 2
+        # what a word on each side (None: neither part) adds to the codes of its neighbourhood
+        self.step: dict[int | None, int] = {None: 0, 0: 1, 1: k}
         self.width = width = (2 * size + 1).bit_length()
 
         def bad(a: int, b: int) -> bool:
@@ -522,12 +524,11 @@ class _LocalState:
         if got is None:
             if len(self._ids) >= IDS_CACHE_LIMIT:
                 self._ids.clear()
-            got = tuple(sorted(self._hood(self.params.decode(x))))
+            sphere = self.params.sphere(self.params.decode(x))
+            # a perfect count is over the ball: the word plus its sphere
+            got = tuple(sorted([x, *sphere] if self.perfect else sphere))
             self._ids[x] = got
         return got
-
-    def objective(self) -> int:
-        return len(self.violated)
 
     def clear(self) -> None:
         self.code.clear()
@@ -535,13 +536,13 @@ class _LocalState:
         self.parts[1].clear()
         self.violated.clear()
 
-    def toggle(self, w: int, side: int, add: bool) -> None:
-        if add:
-            self.parts[side].add(w)
-        else:
-            self.parts[side].remove(w)
-        step = self.k if side else 1
-        delta = step if add else -step
+    def move(self, w: int, src: int | None, dst: int | None) -> None:
+        """Take w from side src to side dst, updating every code around w in one pass."""
+        if src is not None:
+            self.parts[src].remove(w)
+        if dst is not None:
+            self.parts[dst].add(w)
+        delta = self.step[dst] - self.step[src]
         code = self.code
         get = code.get
         bad = self.bad
@@ -557,13 +558,6 @@ class _LocalState:
                 add_violated(y)
             else:
                 discard_violated(y)
-
-    def apply(self, move: _Move) -> None:
-        w, src, dst = move
-        if src is not None:
-            self.toggle(w, src, False)
-        if dst is not None:
-            self.toggle(w, dst, True)
 
     def scored_moves(self, x: int, pinned: set[int]) -> list[tuple[int, _Move]]:
         """Every move around x with the objective it would leave, in order.
@@ -630,7 +624,7 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
         if start is not None:
             for side, words in ((0, start.t0), (1, start.t1)):
                 for word in words:
-                    state.toggle(params.encode(word), side, True)
+                    state.move(params.encode(word), None, side)
             if state.parts[0]:
                 pinned.add(min(state.parts[0]))
         else:
@@ -638,10 +632,10 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
             b = rng.randrange(total)
             while b == a:
                 b = rng.randrange(total)
-            state.toggle(a, 0, True)
-            state.toggle(b, 1, True)
+            state.move(a, None, 0)
+            state.move(b, None, 1)
             pinned.add(a)
-        restart_best = state.objective()
+        restart_best = len(state.violated)
 
     started = time.perf_counter()
     restart(config.start)
@@ -666,11 +660,11 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
             open_moves = scored
         low = min(score for score, _ in open_moves)
         w, src, dst = rng.choice([mv for score, mv in open_moves if score == low])
-        state.apply((w, src, dst))
+        state.move(w, src, dst)
         tabu.append((w, dst, src))
         moves += 1
-        if state.objective() < restart_best:
-            restart_best = state.objective()
+        if len(state.violated) < restart_best:
+            restart_best = len(state.violated)
             stagnation = 0
         else:
             stagnation += 1

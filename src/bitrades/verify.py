@@ -16,7 +16,7 @@ import warnings
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import add
 
 from .construct import PERFECT, SPHERICAL, Bitrade, check_kind
@@ -122,10 +122,11 @@ def definition_check(
     params.check_words(set0)
     params.check_words(set1)
 
-    ball = kind == PERFECT
     failures: list[tuple] = []
     touched = 0
-    for hits0, hits1 in zip(params.blocks(set0, ball), params.blocks(set1, ball)):
+    for (own0, hits0), (own1, hits1) in zip(params.blocks(set0), params.blocks(set1)):
+        if kind == PERFECT:  # a ball is the word plus its sphere
+            hits0, hits1 = chain(own0, hits0), chain(own1, hits1)
         counts0, counts1 = Counter(hits0), Counter(hits1)
         # equal counters with no count above 1 leave nothing to report
         if dict.__eq__(counts0, counts1) and max(counts0.values(), default=0) <= 1:
@@ -151,8 +152,10 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
 
     The equation is tested at every vertex where either side can be
     nonzero: the support and its neighbourhood.  Everywhere else both
-    sides vanish.
+    sides vanish.  A non-integer eigenvalue is refused with ValueError.
     """
+    if not is_int(eigenvalue):
+        raise ValueError(f"eigenvalue must be an integer, got {eigenvalue!r}")
     if eigenvalue not in f.params.eigenvalues():
         warnings.warn(
             f"{eigenvalue} is not an eigenvalue of H({f.params.n}, {f.params.q}); "
@@ -161,14 +164,10 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
         )
     params = f.params
     plus, minus = f.parts()
-    # the support's values, split into the blocks of their first symbol
-    signs: list[dict[int, int]] = [{} for _ in range(params.q)]
-    for w, value in f.values.items():
-        signs[w[0]][params.encode(w)] = value
-
     failures: list[tuple] = []
     checked = 0
-    for sign, hits_up, hits_down in zip(signs, params.blocks(plus), params.blocks(minus)):
+    for (own_up, hits_up), (own_down, hits_down) in zip(params.blocks(plus), params.blocks(minus)):
+        sign = {**dict.fromkeys(own_up, 1), **dict.fromkeys(own_down, -1)}
         up, down = Counter(hits_up), Counter(hits_down)
         # for eigenvalue 0 the equation holds exactly when the hit counts agree
         if not eigenvalue and dict.__eq__(up, down):
@@ -261,13 +260,11 @@ def dist2_count_check(b: Bitrade) -> VerificationReport:
 
 
 def delsarte_order(params: HammingParams, eigenvalue: int) -> int:
-    """The index m with eigenvalue = n(q-1) - mq; the face-sum order."""
-    m, rem = divmod(params.degree - eigenvalue, params.q)
-    if rem != 0 or not 0 <= m <= params.n:
-        raise ValueError(
-            f"{eigenvalue} is not an eigenvalue of H({params.n}, {params.q})"
-        )
-    return m
+    """The index m of eigenvalue in ``params.eigenvalues()``; the face-sum order."""
+    spectrum = params.eigenvalues()
+    if not is_int(eigenvalue) or eigenvalue not in spectrum:
+        raise ValueError(f"{eigenvalue} is not an eigenvalue of H({params.n}, {params.q})")
+    return spectrum.index(eigenvalue)
 
 
 def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:

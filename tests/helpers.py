@@ -3,7 +3,7 @@ reference checks and the characterization votes."""
 
 import random
 from collections import Counter
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import comb, inf
 
 from bitrades import (
@@ -104,10 +104,13 @@ def reference_report(criterion: str, failures: list[tuple], details: dict) -> Ve
 
 
 def definition_reference(params, kind, t0, t1) -> VerificationReport:
-    """definition_check counted with one Counter per part over every hit at once."""
+    """definition_check counted with one Counter per part over every hit at once,
+    the hits taken from the word-level neighbourhoods above."""
     index = params
-    hood = index.ball if kind == PERFECT else index.sphere
-    counts0, counts1 = (Counter(chain.from_iterable(map(hood, part))) for part in (t0, t1))
+    hood = ball if kind == PERFECT else sphere
+    counts0, counts1 = (
+        Counter(index.encode(y) for w in part for y in hood(params, w)) for part in (t0, t1)
+    )
     touched = counts0.keys() | counts1.keys()
     failures = [
         (index.decode(x), counts0[x], counts1[x])
@@ -118,10 +121,13 @@ def definition_reference(params, kind, t0, t1) -> VerificationReport:
 
 
 def eigen_reference(f: SignedFunction, eigenvalue: int) -> VerificationReport:
-    """eigen_check counted with one Counter per sign over every sphere hit at once."""
+    """eigen_check counted with one Counter per sign over every sphere hit at once,
+    the hits taken from the word-level spheres above."""
     index = f.params
     plus, minus = f.parts()
-    up, down = (Counter(chain.from_iterable(map(index.sphere, part))) for part in (plus, minus))
+    up, down = (
+        Counter(index.encode(y) for w in part for y in sphere(index, w)) for part in (plus, minus)
+    )
     sign = {index.encode(w): value for w, value in f.values.items()}
     touched = up.keys() | down.keys() | sign.keys()
     failures = [

@@ -281,7 +281,6 @@ def test_kernel_neighbourhoods_match_word_versions(case):
     params, word = case
     index = params
     assert list(index.sphere(word)) == [index.encode(w) for w in sphere(params, word)]
-    assert list(index.ball(word)) == [index.encode(w) for w in ball(params, word)]
     # projections: the word, its sphere (pairs at distance 1 and 2), its shift
     # by 1 (distance n) and a few random words
     n, q = params.n, params.q
@@ -309,19 +308,21 @@ def test_blocks_split_the_neighbourhood_hits_by_first_symbol(q):
         for _ in range(10):
             size = rng.randrange(min(params.vertex_count, 30) + 1)
             words = rng.sample(list(all_words(params)), size)
-            for ball, hood in ((False, index.sphere), (True, index.ball)):
-                blocks = [list(block) for block in index.blocks(words, ball)]
-                assert len(blocks) == q
-                for v, block in enumerate(blocks):
-                    assert all(index.decode(x)[0] == v for x in block)
-                per_word = collections.Counter(itertools.chain.from_iterable(map(hood, words)))
-                assert collections.Counter(itertools.chain.from_iterable(blocks)) == per_word
+            blocks = [(own, list(hits)) for own, hits in index.blocks(words)]
+            assert len(blocks) == q
+            for v, (own, hits) in enumerate(blocks):
+                assert own == [index.encode(w) for w in words if w[0] == v]
+                assert all(index.decode(x)[0] == v for x in hits)
+            own = [x for ids, _ in blocks for x in ids]
+            hits = [x for _, block in blocks for x in block]
+            for hood, listed in ((sphere, hits), (ball, own + hits)):
+                per_word = [index.encode(y) for w in words for y in hood(params, w)]
+                assert collections.Counter(listed) == collections.Counter(per_word)
 
 
 def test_kernel_small_cases():
     index = HammingParams(1, 2)
     assert list(index.sphere((0,))) == [1]
-    assert list(index.ball((1,))) == [1, 0]
     index = HammingParams(3, 3)
     assert index.encode((1, 2, 0)) == 15
     assert index.decode(15) == (1, 2, 0)

@@ -66,8 +66,11 @@ def test_refusals_name_their_ceiling(monkeypatch, module, name, shown, refused):
     lambda: bitrades.mds_bitrade(True),
     lambda: bitrades.tensor_power(bitrades.alt_bitrade(3), True),
     lambda: bitrades.delsarte_face_check(bitrades.SignedFunction(bitrades.HammingParams(3, 3), {}), True),
+    lambda: bitrades.eigen_check(bitrades.SignedFunction(bitrades.HammingParams(3, 3), {}), True),
+    lambda: bitrades.delsarte_order(bitrades.HammingParams(3, 2), True),
 ], ids=[
     "field-operand", "field-size", "check-entry", "code-length", "mds-q", "tensor-r", "face-order",
+    "eigenvalue", "delsarte-eigenvalue",
 ])
 def test_bool_integer_arguments_are_refused(call):
     with pytest.raises(ValueError):
@@ -83,7 +86,8 @@ def _source_matches(pattern: str) -> int:
     (r"isinstance\([^()]*,\s*int\)", hamming.is_int),
     (re.escape("kind must be"), construct.check_kind),
     (r"q\s*\*\*\s*\(\s*n\s*-\s*1\s*-\s*i\s*\)", hamming.HammingParams.weights.func),
-], ids=["ceiling-refusal", "integer-test", "kind-check", "place-values"])
+    (r"degree\s*-", hamming.HammingParams.eigenvalues),
+], ids=["ceiling-refusal", "integer-test", "kind-check", "place-values", "spectrum"])
 def test_package_wide_rules_are_written_once(pattern, owner):
     # a second copy of a rule anywhere in src/ fails here
     assert _source_matches(pattern) == len(re.findall(pattern, inspect.getsource(owner))) == 1

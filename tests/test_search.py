@@ -507,20 +507,18 @@ def test_move_scores_equal_a_recount(kind, n, q):
         rng = random.Random(1000 * n + 10 * q + seed)
         state = search_module._LocalState(HammingParams(n, q), kind)
         centres = [rng.randrange(q**n) for _ in range(3)]
-        # random toggles near a few centres, so counts pile above 1
+        # random moves near a few centres, so counts pile above 1
         for _ in range(40):
             w = rng.choice(hood(rng.choice(centres)))
             if w in state.parts[0] or w in state.parts[1]:
                 side = 0 if w in state.parts[0] else 1
-                state.toggle(w, side, False)
-                if rng.random() < 0.5:
-                    state.toggle(w, 1 - side, True)
+                state.move(w, side, 1 - side if rng.random() < 0.5 else None)
             else:
-                state.toggle(w, rng.randrange(2), True)
+                state.move(w, None, rng.randrange(2))
         parts = (set(state.parts[0]), set(state.parts[1]))
         pinned = {w for w in sorted(parts[0] | parts[1]) if rng.random() < 0.3}
         violated = _violated(parts, hood)
-        assert state.objective() == violated
+        assert len(state.violated) == violated
         counts = _counts(state)
         assert counts == tuple(
             Counter(y for w in parts[side] for y in hood(w)) for side in (0, 1)
@@ -534,7 +532,7 @@ def test_move_scores_equal_a_recount(kind, n, q):
             seen_pinned |= any(w in pinned for w in hood(x))
         # scoring leaves the state as it was
         assert parts == state.parts
-        assert state.objective() == _violated(parts, hood)
+        assert len(state.violated) == _violated(parts, hood)
     assert seen_double and seen_pinned
 
 
@@ -608,7 +606,7 @@ def test_tabu_key_undoes_its_move(kind, n, q):
     def snapshot(state):
         return _counts(state), tuple(set(p) for p in state.parts), set(state.violated)
 
-    undone = 0
+    undone = swapped = 0
     seen_double = False
     for seed in range(3):
         rng = random.Random(1000 * n + 10 * q + seed)
@@ -617,18 +615,26 @@ def test_tabu_key_undoes_its_move(kind, n, q):
         # random moves near a few centres, so counts pile above 1
         for _ in range(40):
             x = rng.choice(state.ids(rng.choice(centres)))
-            state.apply(rng.choice(state.scored_moves(x, set()))[1])
+            state.move(*rng.choice(state.scored_moves(x, set()))[1])
         seen_double |= any(c > 1 for side in (0, 1) for c in _counts(state)[side].values())
         before = snapshot(state)
         xs = rng.sample(sorted(state.violated), min(12, len(state.violated)))
         xs += [rng.randrange(q**n) for _ in range(4)]
         for x in xs:
             for _, (w, src, dst) in state.scored_moves(x, set()):
-                state.apply((w, src, dst))
-                state.apply((w, dst, src))
+                state.move(w, src, dst)
+                after = snapshot(state)
+                state.move(w, dst, src)
                 assert snapshot(state) == before
                 undone += 1
-    assert undone and seen_double
+                if src is not None and dst is not None:
+                    # one pass from part to part equals removing, then adding
+                    state.move(w, src, None)
+                    state.move(w, None, dst)
+                    assert snapshot(state) == after
+                    state.move(w, dst, src)
+                    swapped += 1
+    assert undone and swapped and seen_double
 
 
 # The exhaustive engine's masks against neighbourhoods built from words:

@@ -340,6 +340,9 @@ def test_delsarte_order_values():
     assert delsarte_order(HammingParams(5, 5), 0) == 4
     with pytest.raises(ValueError):
         delsarte_order(HammingParams(3, 3), 1)
+    # 0.0 == 0, but an eigenvalue is an integer
+    with pytest.raises(ValueError):
+        delsarte_order(HammingParams(3, 3), 0.0)
     # check_bitrade picks the order from the kind: eigenvalue 0 or -1
     assert check_bitrade(alt_bitrade(3), ["delsarte"])["delsarte"].details["order"] == 2
     lifted = lift_to_perfect(alt_bitrade(3))
