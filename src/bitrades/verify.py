@@ -78,6 +78,17 @@ def _report(criterion: str, failures: list[tuple], details: dict) -> Verificatio
     )
 
 
+def _compare(first: Iterable[int], second: Iterable[int], cap=None, visited=frozenset()):
+    """Count two iterables of ids; return how many ids were counted or are in ``visited``,
+    and (id, first count, second count) wherever the counts differ or the first is above cap."""
+    counts0, counts1 = Counter(first), Counter(second)
+    if dict.__eq__(counts0, counts1) and (cap is None or max(counts0.values(), default=0) <= cap):
+        return len(counts0) + len(visited - counts0.keys()), []
+    keys = counts0.keys() | counts1.keys() | visited
+    pairs = ((x, counts0[x], counts1[x]) for x in keys)
+    return len(keys), [(x, a, b) for x, a, b in pairs if a != b or cap is not None and a > cap]
+
+
 @dataclass(frozen=True)
 class SignedFunction:
     """A function with values +-1 on a finite support and 0 elsewhere."""
@@ -127,18 +138,9 @@ def definition_check(
     for (own0, hits0), (own1, hits1) in zip(params.blocks(set0), params.blocks(set1)):
         if kind == PERFECT:  # a ball is the word plus its sphere
             hits0, hits1 = chain(own0, hits0), chain(own1, hits1)
-        counts0, counts1 = Counter(hits0), Counter(hits1)
-        # equal counters with no count above 1 leave nothing to report
-        if dict.__eq__(counts0, counts1) and max(counts0.values(), default=0) <= 1:
-            touched += len(counts0)
-            continue
-        keys = counts0.keys() | counts1.keys()
-        touched += len(keys)
-        get0, get1 = counts0.get, counts1.get
-        for x in keys:
-            c0, c1 = get0(x, 0), get1(x, 0)
-            if c0 != c1 or c0 > 1:
-                failures.append((params.decode(x), c0, c1))
+        counted, diffs = _compare(hits0, hits1, cap=1)
+        touched += counted
+        failures += [(params.decode(x), c0, c1) for x, c0, c1 in diffs]
 
     return _report("definition", failures, {"vertices_checked": touched})
 
@@ -152,7 +154,9 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
 
     The equation is tested at every vertex where either side can be
     nonzero: the support and its neighbourhood.  Everywhere else both
-    sides vanish.  A non-integer eigenvalue is refused with ValueError.
+    sides vanish.  Each sign counts its sphere hits plus |eigenvalue| copies
+    of its own words if eigenvalue <= 0, else of the other sign's, so the
+    equation holds where the counts agree.  A non-integer eigenvalue raises ValueError.
     """
     if not is_int(eigenvalue):
         raise ValueError(f"eigenvalue must be an integer, got {eigenvalue!r}")
@@ -164,22 +168,22 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
         )
     params = f.params
     plus, minus = f.parts()
+    # a sphere sum lies within -degree..degree, so past degree + 1 the failures stay the same
+    theta = max(-1 - params.degree, min(eigenvalue, 1 + params.degree))
     failures: list[tuple] = []
     checked = 0
     for (own_up, hits_up), (own_down, hits_down) in zip(params.blocks(plus), params.blocks(minus)):
         sign = {**dict.fromkeys(own_up, 1), **dict.fromkeys(own_down, -1)}
-        up, down = Counter(hits_up), Counter(hits_down)
-        # for eigenvalue 0 the equation holds exactly when the hit counts agree
-        if not eigenvalue and dict.__eq__(up, down):
-            checked += len(up) + len(sign.keys() - up.keys())
-            continue
-        touched = up.keys() | down.keys() | sign.keys()
-        checked += len(touched)
-        for x in touched:
-            lhs = eigenvalue * sign.get(x, 0)
-            rhs = up.get(x, 0) - down.get(x, 0)
-            if lhs != rhs:
-                failures.append((params.decode(x), lhs, rhs))
+        if theta > 0:  # each sign counts the other sign's words
+            own_up, own_down = own_down, own_up
+        counted, diffs = _compare(
+            chain(hits_up, *[own_up] * abs(theta)), chain(hits_down, *[own_down] * abs(theta)),
+            visited=sign.keys(),
+        )
+        checked += counted
+        for x, up, down in diffs:  # the sphere sum is up - down less the net copies counted at x
+            value = sign.get(x, 0)
+            failures.append((params.decode(x), eigenvalue * value, up - down + theta * value))
     return _report("eigen", failures, {"eigenvalue": eigenvalue, "vertices_checked": checked})
 
 
@@ -291,21 +295,15 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
     faces_with_support = 0
     for positions in combinations(range(n), k):
         free = [i for i in range(n) if i not in positions]
-        up, down = (Counter(project(ids, columns, free)) for ids, columns in parts)
-        if dict.__eq__(up, down):
-            faces_with_support += len(up)
-            continue
-        faces = up.keys() | down.keys()
-        faces_with_support += len(faces)
-        for key in faces:
-            a, b = up.get(key, 0), down.get(key, 0)
+        counted, diffs = _compare(*(project(ids, columns, free) for ids, columns in parts))
+        faces_with_support += counted
+        for key, a, b in diffs:
+            face = f.params.decode(key)
+            fixed = tuple((p + 1, face[p]) for p in positions)
+            failures.append(("zero_sum", fixed, a - b))
             # a lone nonzero value makes the sum nonzero too
-            if a != b:
-                face = f.params.decode(key)
-                fixed = tuple((p + 1, face[p]) for p in positions)
-                failures.append(("zero_sum", fixed, a - b))
-                if a + b == 1:
-                    failures.append(("support", fixed, 1))
+            if a + b == 1:
+                failures.append(("support", fixed, 1))
     details = {
         "order": m,
         "faces_total": math.comb(n, k) * q**k,
@@ -331,7 +329,8 @@ def check_bitrade(b: Bitrade, checks: Iterable[str] = CHECKS) -> dict[str, Verif
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {CHECKS}")
     eigenvalue = 0 if b.kind == SPHERICAL else -1
-    f = SignedFunction(b.params, {**dict.fromkeys(b.t0, 1), **dict.fromkeys(b.t1, -1)})
+    if {"eigen", "delsarte"} & set(names):  # only these two take a SignedFunction
+        f = SignedFunction(b.params, {**dict.fromkeys(b.t0, 1), **dict.fromkeys(b.t1, -1)})
     run = {
         "definition": lambda: definition_check(b.params, b.kind, b.t0, b.t1),
         "eigen": lambda: eigen_check(f, eigenvalue),

@@ -87,7 +87,8 @@ def _source_matches(pattern: str) -> int:
     (re.escape("kind must be"), construct.check_kind),
     (r"q\s*\*\*\s*\(\s*n\s*-\s*1\s*-\s*i\s*\)", hamming.HammingParams.weights.func),
     (r"degree\s*-", hamming.HammingParams.eigenvalues),
-], ids=["ceiling-refusal", "integer-test", "kind-check", "place-values", "spectrum"])
+    (re.escape("dict.__eq__"), verify._compare),
+], ids=["ceiling-refusal", "integer-test", "kind-check", "place-values", "spectrum", "count-compare"])
 def test_package_wide_rules_are_written_once(pattern, owner):
     # a second copy of a rule anywhere in src/ fails here
     assert _source_matches(pattern) == len(re.findall(pattern, inspect.getsource(owner))) == 1

@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 
 import numpy
 import pytest
@@ -45,6 +46,7 @@ from bitrades import (
     tensor_combine,
     tensor_power,
 )
+from bitrades import verify
 from bitrades.hamming import hamming_distance
 from bitrades.verify import WITNESS_LIMIT
 
@@ -200,6 +202,43 @@ def test_checks_report_what_whole_set_references_report(make):
         assert dist2_pair_check(case.params, case.kind, case.t0, case.t1) == dist2_reference(
             case.params, case.kind, case.t0, case.t1
         )
+
+
+@pytest.mark.parametrize("make", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+def test_eigen_check_reports_what_the_reference_reports_at_every_eigenvalue(make):
+    # the count form weighs the words by -t (own sign) for t <= 0 and by t (other sign) for
+    # t > 0; off the spectrum it also has to get the sums right past either end of it
+    b = make()
+    params = b.params
+    rng = random.Random(len(b.t0) + params.n)
+    off_spectrum = [params.degree - 1, -params.n - 1, params.degree + 2, -params.degree - 3]
+    for case in [b] + [corrupt(b, rng)[1] for _ in range(3)]:
+        f = signed_function(params, case.t0, case.t1)
+        for eigenvalue in params.eigenvalues() + off_spectrum:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert eigen_check(f, eigenvalue) == eigen_reference(f, eigenvalue)
+
+
+def test_check_bitrade_builds_the_signed_function_only_for_the_checks_that_take_it(monkeypatch):
+    built = []
+
+    class Counted(SignedFunction):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    b = mds_bitrade(4, "swap")
+    expected = check_bitrade(b)
+    monkeypatch.setattr(verify, "SignedFunction", Counted)
+    assert check_bitrade(b, ["definition", "dist2"]) == {
+        name: expected[name] for name in ("definition", "dist2")
+    }
+    assert built == []
+    assert check_bitrade(b, ["eigen", "delsarte"]) == {
+        name: expected[name] for name in ("eigen", "delsarte")
+    }
+    assert len(built) == 1
 
 
 def test_checks_match_whole_set_references_on_random_pairs():
