@@ -70,6 +70,19 @@ def bitrade_kind(params: HammingParams, kind: str | None = None) -> str:
     return fits
 
 
+def check_parts(
+    params: HammingParams, t0: Iterable[Word], t1: Iterable[Word]
+) -> tuple[frozenset[Word], frozenset[Word]]:
+    """Both parts frozen by ``HammingParams.check_words``; a shared word raises ValueError."""
+    set0, set1 = params.check_words(t0), params.check_words(t1)
+    overlap = set0 & set1
+    if overlap:
+        raise ValueError(
+            f"parts must be disjoint; {len(overlap)} shared words, e.g. {min(overlap)!r}"
+        )
+    return set0, set1
+
+
 @dataclass(frozen=True)
 class Bitrade:
     """Two disjoint parts in a common Hamming graph, tagged by kind.
@@ -87,16 +100,9 @@ class Bitrade:
 
     def __post_init__(self) -> None:
         check_kind(self.kind)
-        object.__setattr__(self, "t0", frozenset(self.t0))
-        object.__setattr__(self, "t1", frozenset(self.t1))
-        self.params.check_words(self.t0)
-        self.params.check_words(self.t1)
-        overlap = self.t0 & self.t1
-        if overlap:
-            raise ValueError(
-                f"parts must be disjoint; {len(overlap)} shared words, "
-                f"e.g. {min(overlap)!r}"
-            )
+        t0, t1 = check_parts(self.params, self.t0, self.t1)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "t1", t1)
         bitrade_kind(self.params, self.kind)
 
     @property
@@ -147,7 +153,7 @@ def alt_bitrade(q: int) -> Bitrade:
     even, odd = [], []
     for word in itertools.permutations(range(q)):
         (even if _is_even(word) else odd).append(word)
-    return Bitrade(HammingParams(q, q), SPHERICAL, frozenset(even), frozenset(odd))
+    return Bitrade(HammingParams(q, q), SPHERICAL, even, odd)
 
 
 def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bitrade:
@@ -190,11 +196,11 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
                 f"unique to either part (for q = 3 every distinct-weight row gives "
                 f"the one distance-3 subcode of the sum-zero code)"
             )
-        return Bitrade(params, SPHERICAL, frozenset(t0), frozenset(t1))
+        return Bitrade(params, SPHERICAL, t0, t1)
 
     if shift is None:
         shift = (1, field.neg(1)) + (0,) * (q - 2)
-    params.check_word(shift)
+    params.check_words((shift,))
     if field.sum(shift) != 0:
         raise ValueError(
             f"the coset shift must have coordinate sum zero, got {shift!r}"
@@ -229,7 +235,7 @@ def tensor_combine(a: Bitrade, b: Bitrade) -> Bitrade:
     t0 = {x + y for x in a.t0 for y in b.t0} | {x + y for x in a.t1 for y in b.t1}
     t1 = {x + y for x in a.t0 for y in b.t1} | {x + y for x in a.t1 for y in b.t0}
     params = HammingParams(a.params.n + b.params.n, a.params.q)
-    return Bitrade(params, SPHERICAL, frozenset(t0), frozenset(t1))
+    return Bitrade(params, SPHERICAL, t0, t1)
 
 
 def tensor_power(b: Bitrade, r: int) -> Bitrade:
@@ -257,4 +263,4 @@ def lift_to_perfect(b: Bitrade) -> Bitrade:
     t0 = {w + (0,) for w in b.t0} | {w + (1,) for w in b.t1}
     t1 = {w + (1,) for w in b.t0} | {w + (0,) for w in b.t1}
     params = HammingParams(b.params.n + 1, b.params.q)
-    return Bitrade(params, PERFECT, frozenset(t0), frozenset(t1))
+    return Bitrade(params, PERFECT, t0, t1)

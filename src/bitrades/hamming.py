@@ -82,12 +82,10 @@ class HammingParams:
             and max(word) < self.q
         )
 
-    def check_word(self, word: Word) -> None:
-        if not self.contains(word):
-            raise ValueError(f"{word!r} is not a word of H({self.n}, {self.q})")
-
-    def check_words(self, words: Iterable[Word]) -> None:
-        """check_word on each word in turn; valid words cost two passes over their symbols."""
+    def check_words(self, words: Iterable[Word]) -> frozenset[Word]:
+        """The words as a frozenset, each checked by ``contains`` before freezing could merge
+        a bool word into its int twin; ValueError names the first bad word.  An iterator is
+        read once, and valid words cost two passes over their symbols."""
         symbols = itertools.chain.from_iterable
         if not isinstance(words, Collection):
             words = list(words)  # the passes below would each consume an iterator
@@ -96,9 +94,9 @@ class HammingParams:
         ) <= {int}:
             values = set(symbols(words))  # only ints, so one per distinct symbol
             if not values or (min(values) >= 0 and max(values) < self.q):
-                return
-        for w in words:
-            self.check_word(w)
+                return frozenset(words)
+        bad = next(w for w in words if not self.contains(w))
+        raise ValueError(f"{bad!r} is not a word of H({self.n}, {self.q})")
 
     @functools.cached_property
     def weights(self) -> tuple[int, ...]:
@@ -173,8 +171,7 @@ class Code:
     words: frozenset[Word]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "words", frozenset(self.words))
-        self.params.check_words(self.words)
+        object.__setattr__(self, "words", self.params.check_words(self.words))
 
     def __len__(self) -> int:
         return len(self.words)

@@ -72,9 +72,6 @@ class ParityCheckCode:
         return self.field.q ** (self.n - self.rank)
 
     def __contains__(self, word: Word) -> bool:
-        return self.contains(word)
-
-    def contains(self, word: Word) -> bool:
         return self.params.contains(word) and all(
             self.field.dot(row, word) == 0 for row in self.checks
         )
@@ -118,7 +115,7 @@ class ParityCheckCode:
         return map(itemgetter(*map(layout.index, range(self.n))), words)
 
     def to_code(self) -> Code:
-        return Code(self.params, frozenset(self.words()))
+        return Code(self.params, self.words())
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +145,12 @@ def rs_mds_code(field: FieldTable, n: int | None = None) -> ParityCheckCode:
 
 def coset(field: FieldTable, code: Code, shift: Word) -> Code:
     """Translate every codeword by shift (coordinatewise field addition)."""
-    code.params.check_word(shift)
+    code.params.check_words((shift,))
     if code.params.q != field.q:
         raise ValueError(f"code over GF({code.params.q}) but field is GF({field.q})")
     # adding s maps a to row s of the addition table
     rows = [field.add_table[s] for s in shift]
-    shifted = frozenset(tuple(map(getitem, rows, w)) for w in code.words)
-    return Code(code.params, shifted)
+    return Code(code.params, [tuple(map(getitem, rows, w)) for w in code.words])
 
 
 def verify_mds(code: ParityCheckCode) -> bool:

@@ -457,7 +457,7 @@ def _result(
     wall = time.perf_counter() - started
     best = None
     if best_ids is not None:
-        best = Bitrade(params, kind, *(frozenset(map(params.decode, ids)) for ids in best_ids))
+        best = Bitrade(params, kind, *(map(params.decode, ids) for ids in best_ids))
         if not definition_check(best.params, best.kind, best.t0, best.t1).passed:
             raise RuntimeError("internal error: search produced an invalid bitrade")
     return SearchResult(best, proven, nodes, wall)

@@ -56,7 +56,7 @@ def from_document(doc: object) -> Bitrade:
             words.append(tuple(entry))
         if len(set(words)) != len(words):
             raise ValueError(f"duplicate word in {key}")
-        parts.append(frozenset(words))
+        parts.append(words)
     return Bitrade(params, doc["kind"], parts[0], parts[1])
 
 
@@ -118,15 +118,17 @@ def loads_text(text: str) -> Bitrade:
         tag, word = values[0], tuple(values[1:])
         if tag not in (0, 1):
             raise ValueError(f"line {number}: part tag must be 0 or 1, got {tag}")
-        if not params.contains(word):
-            raise ValueError(f"line {number}: {word} is not a word of H({n}, {q})")
+        try:
+            params.check_words((word,))
+        except ValueError as e:
+            raise ValueError(f"line {number}: {e}") from None
         if word in seen:
             raise ValueError(
                 f"line {number}: {word} already appeared on line {seen[word]}"
             )
         seen[word] = number
         parts[tag].add(word)
-    return Bitrade(params, kind, frozenset(parts[0]), frozenset(parts[1]))
+    return Bitrade(params, kind, *parts)
 
 
 def save_bitrade(b: Bitrade, path: str, fmt: str = "json") -> None:

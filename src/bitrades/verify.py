@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from operator import add
 
-from .construct import PERFECT, SPHERICAL, Bitrade, check_kind
+from .construct import PERFECT, SPHERICAL, Bitrade, check_kind, check_parts
 from .hamming import (
     Code,
     HammingParams,
@@ -127,11 +127,7 @@ def definition_check(
     (0, 0) and passes.
     """
     check_kind(kind)
-    set0, set1 = frozenset(t0), frozenset(t1)
-    if set0 & set1:
-        raise ValueError("parts must be disjoint")
-    params.check_words(set0)
-    params.check_words(set1)
+    set0, set1 = check_parts(params, t0, t1)
 
     failures: list[tuple] = []
     touched = 0
@@ -209,12 +205,12 @@ def dist2_pair_check(
     opposite words agreeing with it off D; a0 is 1 if it is in both parts.
     """
     check_kind(kind)
-    set0, set1 = frozenset(t0), frozenset(t1)
+    codes = Code(params, t0), Code(params, t1)
+    set0, set1 = codes[0].words, codes[1].words
     n, q = params.n, params.q
     if not set0 and not set1:
         return _report("dist2", [], {"trivial": True})
 
-    codes = Code(params, set0), Code(params, set1)
     failures: list[tuple] = [
         ("min_distance", name, d, 3)
         for name, d in zip(("t0", "t1"), map(min_distance, codes))

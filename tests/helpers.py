@@ -39,7 +39,7 @@ def sphere(params: HammingParams, center):
 
     Listed by increasing changed position, then increasing symbol.
     """
-    params.check_word(center)
+    params.check_words((center,))
     out = []
     for i in range(params.n):
         head, tail = center[:i], center[i + 1 :]

@@ -60,7 +60,7 @@ def test_params_contains():
     with pytest.raises(ValueError, match=r"\(0, True, 2\) is not a word"):
         p.check_words([(0, 1, 2), (0, True, 2)])
     with pytest.raises(ValueError):
-        p.check_word((0, 1, 3))
+        p.check_words([(0, 1, 3)])
 
 
 def test_check_words_validates_one_shot_iterators():

@@ -77,6 +77,22 @@ def test_bool_integer_arguments_are_refused(call):
         call()
 
 
+# A bool word equals its int twin, so a part frozen before it is checked would lose the bool.
+BOOL_TWIN = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, True, 2)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: bitrades.Bitrade(p, bitrades.SPHERICAL, BOOL_TWIN, [(1, 1, 1)]),
+    lambda p: bitrades.Bitrade(p, bitrades.SPHERICAL, [(1, 1, 1)], BOOL_TWIN),
+    lambda p: bitrades.Code(p, BOOL_TWIN),
+    lambda p: bitrades.definition_check(p, bitrades.SPHERICAL, BOOL_TWIN, [(1, 1, 1)]),
+    lambda p: bitrades.dist2_pair_check(p, bitrades.SPHERICAL, [(1, 1, 1)], BOOL_TWIN),
+], ids=["bitrade-t0", "bitrade-t1", "code", "definition", "dist2"])
+def test_bool_twin_words_are_refused(call):
+    with pytest.raises(ValueError, match=r"^\(0, True, 2\) is not a word of H\(3, 3\)$"):
+        call(bitrades.HammingParams(3, 3))
+
+
 def _source_matches(pattern: str) -> int:
     return sum(len(re.findall(pattern, path.read_text())) for path in SRC.glob("*.py"))
 
@@ -88,7 +104,12 @@ def _source_matches(pattern: str) -> int:
     (r"q\s*\*\*\s*\(\s*n\s*-\s*1\s*-\s*i\s*\)", hamming.HammingParams.weights.func),
     (r"degree\s*-", hamming.HammingParams.eigenvalues),
     (re.escape("dict.__eq__"), verify._compare),
-], ids=["ceiling-refusal", "integer-test", "kind-check", "place-values", "spectrum", "count-compare"])
+    (re.escape("is not a word of"), hamming.HammingParams.check_words),
+    (re.escape("must be disjoint"), construct.check_parts),
+], ids=[
+    "ceiling-refusal", "integer-test", "kind-check", "place-values", "spectrum", "count-compare",
+    "word-check", "part-check",
+])
 def test_package_wide_rules_are_written_once(pattern, owner):
     # a second copy of a rule anywhere in src/ fails here
     assert _source_matches(pattern) == len(re.findall(pattern, inspect.getsource(owner))) == 1

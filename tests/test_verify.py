@@ -335,6 +335,17 @@ def test_min_distance_check_fails_a_large_distance_four_part():
     assert report.failure_count == len(words) + len(other) + 2
 
 
+def test_definition_check_refuses_parts_as_bitrade_does():
+    b = alt_bitrade(3)
+    shared = r"^parts must be disjoint; 3 shared words, e\.g\. \(0, 1, 2\)$"
+    for check in (Bitrade, definition_check):
+        with pytest.raises(ValueError, match=shared):
+            check(b.params, SPHERICAL, b.t0, b.t0 | b.t1)
+        # a bad word is named before the parts are compared
+        with pytest.raises(ValueError, match=r"^\(0, 0, 3\) is not a word of H\(3, 3\)$"):
+            check(b.params, SPHERICAL, b.t0, [*b.t0, (0, 0, 3)])
+
+
 def test_checks_refuse_bad_arguments():
     b = alt_bitrade(3)
     for check in (definition_check, dist2_pair_check):
