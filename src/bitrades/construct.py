@@ -4,9 +4,9 @@ A pair of disjoint codes (t0, t1) is a spherical bitrade when every vertex
 of the graph sees equally many t0 and t1 words among its neighbours, and
 never more than one of each; it is a perfect bitrade when the same holds
 with the vertex itself included.  The difference of the parts' indicator
-functions is then an eigenfunction for eigenvalue 0 or -1 respectively,
-and since the eigenvalues of H(n, q) are n(q-1) - q*i, spherical bitrades
-need q | n and perfect ones n = 1 (mod q).
+functions is then an eigenfunction for θ = 0 or -1 (``EIGENVALUE``), and a
+kind fits H(n, q) when its θ is among the eigenvalues n(q-1) - q*i: q | n
+for spherical bitrades, n = 1 (mod q) for perfect ones.
 """
 
 from __future__ import annotations
@@ -22,17 +22,19 @@ from .linear import coset, rs_mds_code
 
 SPHERICAL = "spherical"
 PERFECT = "perfect"
-KINDS = (SPHERICAL, PERFECT)
+# each kind's θ: a part counts, at each vertex, its sphere hits plus -θ copies of the vertex
+EIGENVALUE = {SPHERICAL: 0, PERFECT: -1}
+KINDS = tuple(EIGENVALUE)
 
 # A construction whose parts would hold more words each than this is refused
 # before it enumerates any (alt_bitrade(9) has 181,440 and builds in seconds).
 CONSTRUCTION_CEILING = 2**19
 
 
-# kind: (what n must be, the eigenvalue, when H(n, q) has that eigenvalue)
+# kind: (what n must be, when H(n, q) has the kind's eigenvalue)
 _EXISTENCE = {
-    SPHERICAL: ("a multiple of q", "0", "q divides n"),
-    PERFECT: ("1 (mod q)", "-1", "n = 1 (mod q)"),
+    SPHERICAL: ("a multiple of q", "q divides n"),
+    PERFECT: ("1 (mod q)", "n = 1 (mod q)"),
 }
 
 
@@ -45,27 +47,26 @@ def check_kind(kind: str) -> None:
 def bitrade_kind(params: HammingParams, kind: str | None = None) -> str:
     """The one kind of bitrade that H(n, q) can hold, checked against ``kind``.
 
-    The parts' indicator difference is an eigenfunction for 0 (spherical)
-    or -1 (perfect), and the eigenvalues of H(n, q) are n(q-1) - q*i, so a
-    spherical bitrade needs q | n and a perfect one n = 1 (mod q); since
-    q >= 2, at most one holds.  Raises ValueError when H(n, q) holds no
-    bitrade, or none of the given kind.
+    A kind fits when its eigenvalue (``EIGENVALUE``) is in the spectrum
+    ``params.eigenvalues()``: 0 needs q | n and -1 needs n = 1 (mod q), so
+    since q >= 2 at most one kind fits.  Raises ValueError when H(n, q)
+    holds no bitrade, or none of the given kind.
     """
     if kind is not None:
         check_kind(kind)
     n, q = params.n, params.q
-    fits = SPHERICAL if n % q == 0 else PERFECT if n % q == 1 else None
+    fits = next((k for k in KINDS if EIGENVALUE[k] in params.eigenvalues()), None)
     if kind is None and fits is None:
         raise ValueError(
             f"no bitrade parameters fit H({n}, {q}): n must be 1 (mod q) for "
             f"perfect bitrades or a multiple of q for spherical bitrades"
         )
     if kind is not None and kind != fits:
-        need, value, when = _EXISTENCE[kind]
+        need, when = _EXISTENCE[kind]
         raise ValueError(
-            f"no {kind} bitrade exists in H({n}, {q}): n must be {need}, since the "
-            f"parts' indicator difference would be an eigenfunction for {value}, "
-            f"and {value} is among the eigenvalues n(q-1) - q*i only when {when}"
+            f"no {kind} bitrade exists in H({n}, {q}): n must be {need}, since the parts' "
+            f"indicator difference would be an eigenfunction for {EIGENVALUE[kind]}, and "
+            f"{EIGENVALUE[kind]} is among the eigenvalues n(q-1) - q*i only when {when}"
         )
     return fits
 

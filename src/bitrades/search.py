@@ -66,7 +66,7 @@ from functools import cache, reduce
 from itertools import repeat
 from operator import or_
 
-from .construct import PERFECT, SPHERICAL, Bitrade, bitrade_kind
+from .construct import EIGENVALUE, PERFECT, SPHERICAL, Bitrade, bitrade_kind
 from .hamming import HammingParams, Word, check_ceiling, is_int
 from .verify import definition_check
 
@@ -222,12 +222,12 @@ class _RepairSearch:
     the digit of one coordinate, for d in 1..q-1.  On ids a step shifts up
     the vertices whose digit there stays below q and shifts down the rest,
     so one step moves a whole vertex set with two ANDs and two shifts.  A
-    vertex's neighbourhood (ball or sphere) is the vertex moved this way,
-    cached per vertex when first asked for.
+    vertex's region, its sphere plus -θ copies of itself (a ball for θ = -1),
+    is the vertex moved this way, cached per vertex when first asked for.
     """
 
     __slots__ = (
-        "params", "kind", "size", "allowed", "deadline", "full", "cap", "scale",
+        "params", "own", "size", "allowed", "deadline", "full", "cap", "scale",
         "steps", "mask", "keep", "parts", "nodes", "exhausted", "best",
     )
 
@@ -236,14 +236,9 @@ class _RepairSearch:
     ) -> None:
         q = params.q
         self.params = params
-        self.kind = kind
-        self.size = params.degree + (1 if kind == PERFECT else 0)
+        self.own = -EIGENVALUE[kind]
         self.deadline = deadline
         self.full = (1 << params.vertex_count) - 1
-        self.cap = params.vertex_count // self.size
-        # the largest volume still sought; None allows every volume a part can hold
-        self.allowed = self.cap if allowed is None else allowed
-        self.scale = math.lcm(*range(1, self.size + 1))
         # (the ids whose digit stays below q, shift up, the rest, shift down)
         self.steps: list[tuple[int, int, int, int]] = []
         for w in params.weights:
@@ -257,17 +252,21 @@ class _RepairSearch:
         # (those whose neighbourhood misses w's), each built on first use
         self.mask = cache(lambda x: self.dilate(1 << x))
         self.keep = cache(lambda w: self.full ^ self.dilate(self.mask(w)))
+        self.size = self.mask(0).bit_count()
+        self.cap = params.vertex_count // self.size
+        # the largest volume still sought; None allows every volume a part can hold
+        self.allowed = self.cap if allowed is None else allowed
+        self.scale = math.lcm(*range(1, self.size + 1))
         self.parts: tuple[list[int], list[int]] = ([], [])
         self.nodes = 0
         self.exhausted = False
         self.best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     def moved(self, xs: int) -> Iterator[int]:
-        """xs moved by each step, and for balls xs itself.  A vertex y lies in
+        """xs itself -θ times (``own``), then xs moved by each step.  A vertex y lies in
         as many of them as its neighbourhood holds vertices of xs, since the
         steps are closed under inverses."""
-        if self.kind == PERFECT:
-            yield xs
+        yield from repeat(xs, self.own)
         for low, up, high, down in self.steps:
             yield (xs & low) << up | (xs & high) >> down
 
@@ -486,14 +485,14 @@ class _LocalState:
     """
 
     __slots__ = (
-        "params", "perfect", "_ids", "code", "k", "step", "bad", "gain", "width", "parts", "violated",
+        "params", "own", "_ids", "code", "k", "step", "bad", "gain", "width", "parts", "violated",
     )
 
     def __init__(self, params: HammingParams, kind: str) -> None:
         self.params = params
-        self.perfect = kind == PERFECT
+        self.own = -EIGENVALUE[kind]
         self._ids: dict[int, tuple[int, ...]] = {}
-        size = params.degree + (1 if self.perfect else 0)
+        size = len(self.ids(0))
         k = self.k = size + 2
         # what a word on each side (None: neither part) adds to the codes of its neighbourhood
         self.step: dict[int | None, int] = {None: 0, 0: 1, 1: k}
@@ -524,9 +523,8 @@ class _LocalState:
         if got is None:
             if len(self._ids) >= IDS_CACHE_LIMIT:
                 self._ids.clear()
-            sphere = self.params.sphere(self.params.decode(x))
-            # a perfect count is over the ball: the word plus its sphere
-            got = tuple(sorted([x, *sphere] if self.perfect else sphere))
+            # x's region: its sphere plus -θ copies of x
+            got = tuple(sorted([x] * self.own + [*self.params.sphere(self.params.decode(x))]))
             self._ids[x] = got
         return got
 
@@ -646,10 +644,9 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
             volume = len(state.parts[0])
             if volume and len(state.parts[1]) == volume:
                 if best_ids is None or volume < len(best_ids[0]):
-                    best_ids = (
-                        tuple(sorted(state.parts[0])),
-                        tuple(sorted(state.parts[1])),
-                    )
+                    best_ids = tuple(tuple(sorted(part)) for part in state.parts)
+                if volume == 1:  # no bitrade is smaller
+                    break
             restart()
             continue
         x = rng.choice(sorted(state.violated))

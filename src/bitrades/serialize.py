@@ -118,16 +118,17 @@ def loads_text(text: str) -> Bitrade:
         tag, word = values[0], tuple(values[1:])
         if tag not in (0, 1):
             raise ValueError(f"line {number}: part tag must be 0 or 1, got {tag}")
-        try:
-            params.check_words((word,))
-        except ValueError as e:
-            raise ValueError(f"line {number}: {e}") from None
         if word in seen:
             raise ValueError(
                 f"line {number}: {word} already appeared on line {seen[word]}"
             )
         seen[word] = number
         parts[tag].add(word)
+    try:  # in file order, so the first bad word's line is named
+        params.check_words(seen)
+    except ValueError as e:
+        bad = next(w for w in seen if not params.contains(w))
+        raise ValueError(f"line {seen[bad]}: {e}") from None
     return Bitrade(params, kind, *parts)
 
 

@@ -1,12 +1,12 @@
 """Checks that a candidate pair of codes really is a bitrade.
 
 Every check returns a VerificationReport rather than a bare bool, so a
-failure always carries witnesses.  The checks deliberately overlap:
-definition_check applies the counting definition directly, while the
-eigenfunction, distance-profile and face-sum checks test equivalent or
-necessary characterisations.  Disagreement between the equivalent ones on
-the same spherical input would expose a bug, and the test suite leans on
-exactly that.
+failure always carries witnesses.  The definition check is the eigen
+count at the kind's eigenvalue (``construct.EIGENVALUE``) plus the cap
+of at most one hit per part; the distance-profile and face-sum checks
+test equivalent or necessary characterisations.  The independent
+cross-checks are the references in ``tests/helpers.py`` and the
+benchmark's numpy checker.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from operator import add
 
-from .construct import PERFECT, SPHERICAL, Bitrade, check_kind, check_parts
+from .construct import EIGENVALUE, PERFECT, SPHERICAL, Bitrade, check_kind, check_parts
 from .hamming import (
     Code,
     HammingParams,
@@ -89,6 +89,28 @@ def _compare(first: Iterable[int], second: Iterable[int], cap=None, visited=froz
     return len(keys), [(x, a, b) for x, a, b in pairs if a != b or cap is not None and a > cap]
 
 
+def _count(params: HammingParams, t0, t1, theta: int, cap=None, visit=False):
+    """Per block (``HammingParams.blocks``), compare each part's sphere hits plus -theta
+    copies of its own words (theta <= 0), or theta copies of the other part's (theta > 0).
+
+    Returns the vertices checked (the parts' words too if ``visit``) and (word, value,
+    count0, count1) wherever ``_compare`` reports one; value is 1 on t0, -1 on t1, else 0.
+    """
+    failures: list[tuple] = []
+    checked = 0
+    for (own0, hits0), (own1, hits1) in zip(params.blocks(t0), params.blocks(t1)):
+        sign = {**dict.fromkeys(own0, 1), **dict.fromkeys(own1, -1)}
+        if theta > 0:  # each part counts the other part's words
+            own0, own1 = own1, own0
+        counted, diffs = _compare(
+            chain(hits0, *[own0] * abs(theta)), chain(hits1, *[own1] * abs(theta)),
+            cap, sign.keys() if visit else frozenset(),
+        )
+        checked += counted
+        failures += [(params.decode(x), sign.get(x, 0), c0, c1) for x, c0, c1 in diffs]
+    return checked, failures
+
+
 @dataclass(frozen=True)
 class SignedFunction:
     """A function with values +-1 on a finite support and 0 elsewhere."""
@@ -122,22 +144,14 @@ def definition_check(
     """Counting definition: every vertex sees equal part counts, at most 1 each.
 
     The spherical count of a vertex is over its sphere, the perfect count
-    over its ball.  Only vertices whose counts can be nonzero are visited
-    (the supports and their neighbourhoods); every other vertex counts
-    (0, 0) and passes.
+    over its ball: the eigen count at the kind's eigenvalue, capped at 1.
+    Only vertices whose counts can be nonzero are visited (the supports
+    and their neighbourhoods); every other vertex counts (0, 0) and passes.
     """
     check_kind(kind)
     set0, set1 = check_parts(params, t0, t1)
-
-    failures: list[tuple] = []
-    touched = 0
-    for (own0, hits0), (own1, hits1) in zip(params.blocks(set0), params.blocks(set1)):
-        if kind == PERFECT:  # a ball is the word plus its sphere
-            hits0, hits1 = chain(own0, hits0), chain(own1, hits1)
-        counted, diffs = _compare(hits0, hits1, cap=1)
-        touched += counted
-        failures += [(params.decode(x), c0, c1) for x, c0, c1 in diffs]
-
+    touched, diffs = _count(params, set0, set1, EIGENVALUE[kind], cap=1)
+    failures = [(word, c0, c1) for word, _, c0, c1 in diffs]
     return _report("definition", failures, {"vertices_checked": touched})
 
 
@@ -150,8 +164,7 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
 
     The equation is tested at every vertex where either side can be
     nonzero: the support and its neighbourhood.  Everywhere else both
-    sides vanish.  Each sign counts its sphere hits plus |eigenvalue| copies
-    of its own words if eigenvalue <= 0, else of the other sign's, so the
+    sides vanish.  ``_count`` counts each sign at the eigenvalue, so the
     equation holds where the counts agree.  A non-integer eigenvalue raises ValueError.
     """
     if not is_int(eigenvalue):
@@ -162,24 +175,11 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
             f"the check can only fail",
             stacklevel=2,
         )
-    params = f.params
-    plus, minus = f.parts()
+    degree = f.params.degree
     # a sphere sum lies within -degree..degree, so past degree + 1 the failures stay the same
-    theta = max(-1 - params.degree, min(eigenvalue, 1 + params.degree))
-    failures: list[tuple] = []
-    checked = 0
-    for (own_up, hits_up), (own_down, hits_down) in zip(params.blocks(plus), params.blocks(minus)):
-        sign = {**dict.fromkeys(own_up, 1), **dict.fromkeys(own_down, -1)}
-        if theta > 0:  # each sign counts the other sign's words
-            own_up, own_down = own_down, own_up
-        counted, diffs = _compare(
-            chain(hits_up, *[own_up] * abs(theta)), chain(hits_down, *[own_down] * abs(theta)),
-            visited=sign.keys(),
-        )
-        checked += counted
-        for x, up, down in diffs:  # the sphere sum is up - down less the net copies counted at x
-            value = sign.get(x, 0)
-            failures.append((params.decode(x), eigenvalue * value, up - down + theta * value))
+    theta = max(-1 - degree, min(eigenvalue, 1 + degree))
+    checked, diffs = _count(f.params, *f.parts(), theta, visit=True)
+    failures = [(word, eigenvalue * v, up - down + theta * v) for word, v, up, down in diffs]
     return _report("eigen", failures, {"eigenvalue": eigenvalue, "vertices_checked": checked})
 
 
@@ -216,15 +216,14 @@ def dist2_pair_check(
         for name, d in zip(("t0", "t1"), map(min_distance, codes))
         if d != 3
     ]
+    expected_pairs = (q - 1) * (n + EIGENVALUE[kind]) // 2
+    details = {"expected_distance2": expected_pairs}
     if kind == SPHERICAL:
-        expected_pairs = (q - 1) * n // 2
         cross = code_distance(*codes)
         if cross != 2:
             failures.append(("part_distance", cross, 2))
-        details = {"expected_distance2": expected_pairs}
     else:
-        expected_pairs = (q - 1) * (n - 1) // 2
-        details = {"expected_distance2": expected_pairs, "expected_distance1": 1}
+        details["expected_distance1"] = 1
 
     words = list(set0), list(set1)
     digits = [params.digits(part) for part in words]
@@ -324,7 +323,7 @@ def check_bitrade(b: Bitrade, checks: Iterable[str] = CHECKS) -> dict[str, Verif
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {CHECKS}")
-    eigenvalue = 0 if b.kind == SPHERICAL else -1
+    eigenvalue = EIGENVALUE[b.kind]
     if {"eigen", "delsarte"} & set(names):  # only these two take a SignedFunction
         f = SignedFunction(b.params, {**dict.fromkeys(b.t0, 1), **dict.fromkeys(b.t1, -1)})
     run = {

@@ -225,6 +225,38 @@ def test_bitrade_rejects_infeasible_parameters():
         Bitrade(HammingParams(5, 3), PERFECT, frozenset(), frozenset())
 
 
+@pytest.mark.parametrize("q", range(2, 8))
+@pytest.mark.parametrize("n", range(1, 13))
+def test_existence_follows_n_mod_q(n, q):
+    # the rule read off the spectrum, restated from n and q alone
+    fits = {0: SPHERICAL, 1: PERFECT}.get(n % q)
+    texts = {
+        SPHERICAL: ("a multiple of q", 0, "q divides n"),
+        PERFECT: ("1 (mod q)", -1, "n = 1 (mod q)"),
+    }
+    p = HammingParams(n, q)
+    if fits is None:
+        with pytest.raises(ValueError) as refused:
+            construct.bitrade_kind(p)
+        assert str(refused.value) == (
+            f"no bitrade parameters fit H({n}, {q}): n must be 1 (mod q) for "
+            f"perfect bitrades or a multiple of q for spherical bitrades"
+        )
+    else:
+        assert construct.bitrade_kind(p) == fits
+    for kind, (need, value, when) in texts.items():
+        if kind == fits:
+            assert construct.bitrade_kind(p, kind) == kind
+            continue
+        with pytest.raises(ValueError) as refused:
+            construct.bitrade_kind(p, kind)
+        assert str(refused.value) == (
+            f"no {kind} bitrade exists in H({n}, {q}): n must be {need}, since the parts' "
+            f"indicator difference would be an eigenfunction for {value}, and {value} is "
+            f"among the eigenvalues n(q-1) - q*i only when {when}"
+        )
+
+
 def test_bitrade_rejects_bad_kind_and_words():
     p = HammingParams(3, 3)
     for refused in (

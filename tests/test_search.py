@@ -231,6 +231,20 @@ def test_local_walk_records_its_start():
     assert not result.proven_minimum
 
 
+@pytest.mark.parametrize("search,n,q", [
+    (min_perfect_volume, 1, 2), (min_perfect_volume, 1, 3), (find_spherical, 2, 2),
+])
+def test_local_walk_stops_at_volume_one(search, n, q):
+    # in H(1, q) every restart is already a bitrade, so a walk that restarted without a
+    # move would spin for its whole time budget; no bitrade is smaller than volume 1
+    cfg = SearchConfig(HammingParams(n, q), mode="local", move_budget=10, time_budget=30)
+    result = search(cfg)
+    assert result.volume == 1
+    assert result.nodes_explored <= 10
+    assert result.wall_time < 5
+    assert check_bitrade(result.best, ["definition"])["definition"].passed
+
+
 def test_local_start_must_match_parameters():
     with pytest.raises(ValueError, match="does not match"):
         find_spherical(

@@ -165,6 +165,14 @@ def test_text_parse_errors_carry_line_numbers():
         loads_text("3 3 spherical\n0 0 x 2\n")
 
 
+def test_text_names_the_line_of_the_first_bad_word_in_file_order():
+    # the t1 word on line 2 comes before the t0 word on line 3
+    with pytest.raises(ValueError, match=r"^line 2: \(0, 1, 5\) is not a word of H\(3, 3\)$"):
+        loads_text("3 3 spherical\n1 0 1 5\n0 7 1 2\n")
+    with pytest.raises(ValueError, match=r"^line 3: \(7, 1, 2\) is not a word of H\(3, 3\)$"):
+        loads_text("3 3 spherical\n0 0 1 2\n1 7 1 2\n0 0 1 5\n")
+
+
 def test_text_header_validation():
     with pytest.raises(ValueError, match="line 1"):
         loads_text("three 3 spherical\n")
