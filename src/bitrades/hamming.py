@@ -9,6 +9,13 @@ coordinates D?" for every distance, face sum and distance-profile count.
 Counting, over each D of size 1 (of size 2), the words of a set that agree
 with w off D sums to n*a0 + a1 (to C(n, 2)*a0 + (n-1)*a1 + a2), where a_j
 counts those at distance j from w.  Distances are exact at every size.
+
+The neighbourhood kernel works on vertex bitmasks, one int per vertex set:
+``moves`` shifts a whole set by each of the n(q-1) digit steps
+(``HammingParams.step_masks``), and ``bit_planes`` counts, bit-sliced, how
+many of the moved sets hold each vertex.  The exhaustive search builds its
+neighbourhoods and covering degrees with it, and the definition and eigen
+checks their counts.
 """
 
 from __future__ import annotations
@@ -113,6 +120,37 @@ class HammingParams:
             for w in self.weights
         )
 
+    def step_masks(self) -> list[tuple[int, int, int, int]]:
+        """The digit steps on vertex bitmasks: (low, up, high, down) per position and d = q-1..1.
+
+        Adding d (mod q) to the digit at one position moves the ids in low,
+        whose digit there stays below q, up by d of that position's place
+        value, and those in high down by q - d of it (``moves``).  Every
+        mask is rebuilt on each call: together they take 2 n(q-1) q^n bits.
+        """
+        q, total = self.q, self.vertex_count
+        full = (1 << total) - 1
+        steps = []
+        for w in self.weights:
+            # the ids whose digit here is 0: a run of w ones every q * w bits, doubled up
+            zero, period = (1 << w) - 1, q * w
+            while period < total:
+                zero |= zero << period
+                period *= 2
+            zero &= full
+            low = zero
+            for d in range(q - 1, 0, -1):  # low: the ids whose digit here is below q - d
+                steps.append((low, d * w, full ^ low, (q - d) * w))
+                low = zero | low << w
+        return steps
+
+    def bitmask(self, words: Iterable[Word]) -> int:
+        """The words' ids as one int, bit x set for id x."""
+        bits = bytearray(-(-self.vertex_count // 8))
+        for x in map(self.encode, words):
+            bits[x >> 3] |= 1 << (x & 7)
+        return int.from_bytes(bits, "little")
+
     def encode(self, word: Word) -> int:
         return sum(map(mul, word, self.weights))
 
@@ -175,6 +213,33 @@ class Code:
 
     def __len__(self) -> int:
         return len(self.words)
+
+
+# ---------------------------------------------------------------------------
+# vertex bitmasks
+
+
+def moves(xs: int, steps: list[tuple[int, int, int, int]]) -> Iterator[int]:
+    """The vertex set xs moved by each step of ``HammingParams.step_masks``.
+
+    A vertex y lies in as many of them as its sphere holds vertices of xs,
+    since the steps are closed under inverses.
+    """
+    for low, up, high, down in steps:
+        yield (xs & low) << up | (xs & high) >> down
+
+
+def bit_planes(sets: Iterable[int], width: int) -> list[int]:
+    """How many of the vertex sets hold each vertex, bit-sliced: planes[j] holds bit j of
+    every vertex's count.  Counts must stay below 2**width."""
+    planes = [0] * width
+    for carry in sets:
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+    return planes
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,10 @@ when they cannot fit.
 Vertices are numbered 0..q^n-1 (first coordinate most significant).  Each
 part keeps the vertices it covers and the words it may still take as
 bitmasks, so a vertex's candidates are one AND.  One kernel, the digit
-steps of ``_RepairSearch``, builds every neighbourhood mask and the
-covering bound's degrees by moving whole bitmasks with shifts.
+steps of ``hamming`` (``HammingParams.step_masks``, ``moves``) and its
+bit-sliced counter (``bit_planes``), builds every neighbourhood mask and
+the covering bound's degrees by moving whole bitmasks with shifts; the
+definition and eigen checks count on the same kernel.
 
 The local engine is a best-effort tabu walk scoring the number of violated
 vertices; it proves nothing.  A move (w, src, dst) takes word w from side
@@ -67,7 +69,7 @@ from itertools import repeat
 from operator import or_
 
 from .construct import EIGENVALUE, PERFECT, SPHERICAL, Bitrade, bitrade_kind
-from .hamming import HammingParams, Word, check_ceiling, is_int
+from .hamming import HammingParams, Word, bit_planes, check_ceiling, is_int, moves
 from .verify import definition_check
 
 # Whole-graph exhaustive search is refused above this vertex count.
@@ -216,14 +218,12 @@ def _orbit_key(placed: list[Word], x: Word, q: int) -> Callable[[Word], tuple] |
 
 
 class _RepairSearch:
-    """The branch and bound over one graph, with its bitmask kernel.
+    """The branch and bound over one graph, on its vertex bitmasks.
 
-    Every sphere neighbour of x is x moved by one step: add d (mod q) to
-    the digit of one coordinate, for d in 1..q-1.  On ids a step shifts up
-    the vertices whose digit there stays below q and shifts down the rest,
-    so one step moves a whole vertex set with two ANDs and two shifts.  A
-    vertex's region, its sphere plus -θ copies of itself (a ball for θ = -1),
-    is the vertex moved this way, cached per vertex when first asked for.
+    Every sphere neighbour of x is x moved by one digit step
+    (``hamming.moves``).  A vertex's region, its sphere plus -θ copies of
+    itself (a ball for θ = -1), is the vertex moved this way, cached per
+    vertex when first asked for.
     """
 
     __slots__ = (
@@ -234,20 +234,11 @@ class _RepairSearch:
     def __init__(
         self, params: HammingParams, kind: str, allowed: int | None, deadline: float | None
     ) -> None:
-        q = params.q
         self.params = params
         self.own = -EIGENVALUE[kind]
         self.deadline = deadline
         self.full = (1 << params.vertex_count) - 1
-        # (the ids whose digit stays below q, shift up, the rest, shift down)
-        self.steps: list[tuple[int, int, int, int]] = []
-        for w in params.weights:
-            # the ids whose digits from this coordinate on are all 0
-            spaced = self.full // ((1 << q * w) - 1)
-            for d in range(1, q):
-                low = ((1 << (q - d) * w) - 1) * spaced
-                high = (((1 << d * w) - 1) << (q - d) * w) * spaced
-                self.steps.append((low, d * w, high, (q - d) * w))
+        self.steps = params.step_masks()
         # x's neighbourhood, and the words a part holding w may still take
         # (those whose neighbourhood misses w's), each built on first use
         self.mask = cache(lambda x: self.dilate(1 << x))
@@ -263,12 +254,10 @@ class _RepairSearch:
         self.best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     def moved(self, xs: int) -> Iterator[int]:
-        """xs itself -θ times (``own``), then xs moved by each step.  A vertex y lies in
-        as many of them as its neighbourhood holds vertices of xs, since the
-        steps are closed under inverses."""
+        """xs itself -θ times (``own``), then xs moved by each step: a vertex y lies in
+        as many of them as its neighbourhood holds vertices of xs."""
         yield from repeat(xs, self.own)
-        for low, up, high, down in self.steps:
-            yield (xs & low) << up | (xs & high) >> down
+        yield from moves(xs, self.steps)
 
     def dilate(self, xs: int) -> int:
         """The union of the neighbourhoods of the vertices in xs."""
@@ -289,14 +278,8 @@ class _RepairSearch:
         lack without candidates admits no completion.
         """
         size = self.size
-        # planes[j]: bit j of each word's degree, summed bit-sliced
-        planes = [0] * size.bit_length()
-        for carry in self.moved(lack):
-            for j, plane in enumerate(planes):
-                planes[j] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
+        # planes[j]: bit j of each word's degree
+        planes = bit_planes(self.moved(lack), size.bit_length())
         cands = free & reduce(or_, planes)
         scale = self.scale
         total = 0

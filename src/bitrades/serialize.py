@@ -124,12 +124,16 @@ def loads_text(text: str) -> Bitrade:
             )
         seen[word] = number
         parts[tag].add(word)
-    try:  # in file order, so the first bad word's line is named
-        params.check_words(seen)
-    except ValueError as e:
-        bad = next(w for w in seen if not params.contains(w))
-        raise ValueError(f"line {seen[bad]}: {e}") from None
-    return Bitrade(params, kind, *parts)
+    try:
+        return Bitrade(params, kind, *parts)
+    except ValueError:
+        # a bad word is named by its line, the first in file order; else the error stands
+        for word, number in seen.items():
+            try:
+                params.check_words((word,))
+            except ValueError as e:
+                raise ValueError(f"line {number}: {e}") from None
+        raise
 
 
 def save_bitrade(b: Bitrade, path: str, fmt: str = "json") -> None:

@@ -16,18 +16,21 @@ import warnings
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, combinations, repeat
-from operator import add
+from operator import add, or_, xor
 
 from .construct import EIGENVALUE, PERFECT, SPHERICAL, Bitrade, check_kind, check_parts
 from .hamming import (
     Code,
     HammingParams,
     Word,
+    bit_planes,
     check_ceiling,
     code_distance,
     is_int,
     min_distance,
+    moves,
     project,
 )
 
@@ -36,6 +39,10 @@ WITNESS_LIMIT = 10
 # The face check refuses more support projections than this, C(n, m-1) * |support|;
 # mds_bitrade(8, "coset") needs 28 * 2**19.
 FACE_WORK_CEILING = 2**25
+
+# The definition and eigen checks count on vertex bitmasks up to this many vertices and per
+# block above it, where the step masks alone would take 2 n(q-1) q^n bits.
+BITMASK_VERTICES = 2**20
 
 # the checks check_bitrade runs, in the order it runs them
 CHECKS = ("definition", "eigen", "dist2", "delsarte")
@@ -67,13 +74,17 @@ class VerificationReport:
             raise ValueError(f"at most {WITNESS_LIMIT} witnesses may be attached")
 
 
-def _report(criterion: str, failures: list[tuple], details: dict) -> VerificationReport:
+def _report(
+    criterion: str, failures: list[tuple], details: dict, count: int | None = None
+) -> VerificationReport:
+    """The report of failures, of which there are count in all (default: all are listed)."""
     failures.sort()
+    count = len(failures) if count is None else count
     return VerificationReport(
         criterion=criterion,
-        passed=not failures,
+        passed=not count,
         witnesses=tuple(failures[:WITNESS_LIMIT]),
-        failure_count=len(failures),
+        failure_count=count,
         details=details,
     )
 
@@ -89,26 +100,62 @@ def _compare(first: Iterable[int], second: Iterable[int], cap=None, visited=froz
     return len(keys), [(x, a, b) for x, a, b in pairs if a != b or cap is not None and a > cap]
 
 
-def _count(params: HammingParams, t0, t1, theta: int, cap=None, visit=False):
-    """Per block (``HammingParams.blocks``), compare each part's sphere hits plus -theta
-    copies of its own words (theta <= 0), or theta copies of the other part's (theta > 0).
+def _count(params: HammingParams, t0, t1, theta: int, capped=False, visit=False):
+    """Compare, at every vertex, each part's sphere hits plus -theta copies of its own words
+    (theta <= 0), or theta copies of the other part's (theta > 0).
 
-    Returns the vertices checked (the parts' words too if ``visit``) and (word, value,
-    count0, count1) wherever ``_compare`` reports one; value is 1 on t0, -1 on t1, else 0.
+    A vertex fails where the two counts differ or, if ``capped``, part 0's is above 1.
+    Returns the vertices checked (those counted, and the parts' words too if ``visit``),
+    the failure count, and (word, value, count0, count1) at the WITNESS_LIMIT least failing
+    ids; value is 1 on t0, -1 on t1, else 0.  Up to BITMASK_VERTICES vertices each count
+    is bit planes of vertex bitmasks (``hamming.bit_planes``), above that one Counter per
+    block (``HammingParams.blocks``).
     """
-    failures: list[tuple] = []
+    if params.vertex_count > BITMASK_VERTICES:
+        return _count_blocks(params, t0, t1, theta, capped, visit)
+    parts = params.bitmask(t0), params.bitmask(t1)
+    steps = params.step_masks()
+    width = (params.degree + abs(theta)).bit_length()
+    owns = parts if theta <= 0 else parts[::-1]
+    planes0, planes1 = (
+        bit_planes(chain(repeat(own, abs(theta)), moves(part, steps)), width)
+        for part, own in zip(parts, owns)
+    )
+    failing = reduce(or_, map(xor, planes0, planes1))
+    if capped:
+        failing |= reduce(or_, planes0[1:], 0)
+    checked = reduce(or_, planes0 + planes1, parts[0] | parts[1] if visit else 0)
+
+    def at(x: int, planes: list[int]) -> int:
+        return sum((plane >> x & 1) << j for j, plane in enumerate(planes))
+
+    witnesses = []
+    rest = failing
+    while rest and len(witnesses) < WITNESS_LIMIT:
+        x = (rest & -rest).bit_length() - 1
+        rest ^= 1 << x
+        value = (parts[0] >> x & 1) - (parts[1] >> x & 1)
+        witnesses.append((params.decode(x), value, at(x, planes0), at(x, planes1)))
+    return checked.bit_count(), failing.bit_count(), witnesses
+
+
+def _count_blocks(params: HammingParams, t0, t1, theta: int, capped: bool, visit: bool):
+    """``_count`` by one Counter per block: per first symbol, compared by ``_compare``."""
+    diffs: list[tuple] = []
     checked = 0
     for (own0, hits0), (own1, hits1) in zip(params.blocks(t0), params.blocks(t1)):
         sign = {**dict.fromkeys(own0, 1), **dict.fromkeys(own1, -1)}
         if theta > 0:  # each part counts the other part's words
             own0, own1 = own1, own0
-        counted, diffs = _compare(
+        counted, block = _compare(
             chain(hits0, *[own0] * abs(theta)), chain(hits1, *[own1] * abs(theta)),
-            cap, sign.keys() if visit else frozenset(),
+            1 if capped else None, sign.keys() if visit else frozenset(),
         )
         checked += counted
-        failures += [(params.decode(x), sign.get(x, 0), c0, c1) for x, c0, c1 in diffs]
-    return checked, failures
+        diffs += [(x, sign.get(x, 0), c0, c1) for x, c0, c1 in block]
+    diffs.sort()
+    witnesses = [(params.decode(x), *rest) for x, *rest in diffs[:WITNESS_LIMIT]]
+    return checked, len(diffs), witnesses
 
 
 @dataclass(frozen=True)
@@ -121,9 +168,9 @@ class SignedFunction:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", dict(self.values))
         self.params.check_words(self.values)
-        for w, v in self.values.items():
-            if v not in (1, -1):
-                raise ValueError(f"value at {w!r} must be +1 or -1, got {v!r}")
+        if not set(self.values.values()) <= {1, -1}:
+            w, v = next((w, v) for w, v in self.values.items() if v not in (1, -1))
+            raise ValueError(f"value at {w!r} must be +1 or -1, got {v!r}")
 
     def parts(self) -> tuple[list[Word], list[Word]]:
         """The words where f is +1, and those where it is -1."""
@@ -150,9 +197,9 @@ def definition_check(
     """
     check_kind(kind)
     set0, set1 = check_parts(params, t0, t1)
-    touched, diffs = _count(params, set0, set1, EIGENVALUE[kind], cap=1)
+    touched, count, diffs = _count(params, set0, set1, EIGENVALUE[kind], capped=True)
     failures = [(word, c0, c1) for word, _, c0, c1 in diffs]
-    return _report("definition", failures, {"vertices_checked": touched})
+    return _report("definition", failures, {"vertices_checked": touched}, count)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +225,10 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
     degree = f.params.degree
     # a sphere sum lies within -degree..degree, so past degree + 1 the failures stay the same
     theta = max(-1 - degree, min(eigenvalue, 1 + degree))
-    checked, diffs = _count(f.params, *f.parts(), theta, visit=True)
+    checked, count, diffs = _count(f.params, *f.parts(), theta, visit=True)
     failures = [(word, eigenvalue * v, up - down + theta * v) for word, v, up, down in diffs]
-    return _report("eigen", failures, {"eigenvalue": eigenvalue, "vertices_checked": checked})
+    details = {"eigenvalue": eigenvalue, "vertices_checked": checked}
+    return _report("eigen", failures, details, count)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from bitrades.hamming import (
     Code,
     HammingParams,
+    bit_planes,
     code_distance,
     hamming_distance,
     min_distance,
+    moves,
     project,
 )
 from bitrades.linear import ENUMERATION_CEILING
@@ -318,6 +320,27 @@ def test_blocks_split_the_neighbourhood_hits_by_first_symbol(q):
             for hood, listed in ((sphere, hits), (ball, own + hits)):
                 per_word = [index.encode(y) for w in words for y in hood(params, w)]
                 assert collections.Counter(listed) == collections.Counter(per_word)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (3, 3), (2, 5), (4, 2), (2, 7)])
+def test_digit_steps_move_a_vertex_set_to_each_neighbour(n, q):
+    # step (i, d) adds d mod q to digit i of every word; the steps' planes count the spheres
+    params = HammingParams(n, q)
+    steps = params.step_masks()
+    words = list(all_words(params))
+    rng = random.Random(10 * n + q)
+    for _ in range(10):
+        chosen = rng.sample(words, rng.randint(0, len(words)))
+        moved = list(moves(params.bitmask(chosen), steps))
+        assert moved == [
+            params.bitmask(w[:i] + ((w[i] + d) % q,) + w[i + 1:] for w in chosen)
+            for i in range(n) for d in range(q - 1, 0, -1)
+        ]
+        planes = bit_planes(moved, params.degree.bit_length())
+        counts = collections.Counter(y for w in chosen for y in params.sphere(w))
+        assert [sum((p >> y & 1) << j for j, p in enumerate(planes)) for y in range(len(words))] == [
+            counts[y] for y in range(len(words))
+        ]
 
 
 def test_kernel_small_cases():

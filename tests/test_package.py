@@ -106,9 +106,11 @@ def _source_matches(pattern: str) -> int:
     (re.escape("dict.__eq__"), verify._compare),
     (re.escape("is not a word of"), hamming.HammingParams.check_words),
     (re.escape("must be disjoint"), construct.check_parts),
+    (r"\(q\s*-\s*d\)\s*\*\s*w", hamming.HammingParams.step_masks),
+    (r"carry\s*&=\s*plane", hamming.bit_planes),
 ], ids=[
     "ceiling-refusal", "integer-test", "kind-check", "place-values", "spectrum", "count-compare",
-    "word-check", "part-check",
+    "word-check", "part-check", "step-masks", "plane-carry",
 ])
 def test_package_wide_rules_are_written_once(pattern, owner):
     # a second copy of a rule anywhere in src/ fails here

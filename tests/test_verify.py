@@ -175,6 +175,15 @@ def test_eigen_check_reports_the_vertices_it_visits():
     assert eigen_check(SignedFunction(HammingParams(3, 3), {}), 0).details["vertices_checked"] == 0
 
 
+def on_both_paths(check, *args):
+    """check(*args) counted on vertex bitmasks and per block; the two reports must be equal."""
+    report = check(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "BITMASK_VERTICES", 0)
+        assert check(*args) == report
+    return report
+
+
 REFERENCE_CASES = {
     "alt3": lambda: alt_bitrade(3),
     "alt5": lambda: alt_bitrade(5),
@@ -193,10 +202,10 @@ def test_checks_report_what_whole_set_references_report(make):
     eigenvalue = 0 if b.kind == SPHERICAL else -1
     for case in [b] + [corrupt(b, rng)[1] for _ in range(20)]:
         f = signed_function(case.params, case.t0, case.t1)
-        assert definition_check(case.params, case.kind, case.t0, case.t1) == definition_reference(
-            case.params, case.kind, case.t0, case.t1
-        )
-        assert eigen_check(f, eigenvalue) == eigen_reference(f, eigenvalue)
+        assert on_both_paths(
+            definition_check, case.params, case.kind, case.t0, case.t1
+        ) == definition_reference(case.params, case.kind, case.t0, case.t1)
+        assert on_both_paths(eigen_check, f, eigenvalue) == eigen_reference(f, eigenvalue)
         m = delsarte_order(case.params, eigenvalue)
         assert delsarte_face_check(f, m) == delsarte_reference(f, m)
         assert dist2_pair_check(case.params, case.kind, case.t0, case.t1) == dist2_reference(
@@ -217,7 +226,19 @@ def test_eigen_check_reports_what_the_reference_reports_at_every_eigenvalue(make
         for eigenvalue in params.eigenvalues() + off_spectrum:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                assert eigen_check(f, eigenvalue) == eigen_reference(f, eigenvalue)
+                assert on_both_paths(eigen_check, f, eigenvalue) == eigen_reference(f, eigenvalue)
+
+
+def test_count_paths_agree_on_a_pair_failing_almost_everywhere():
+    # t1 moved to a coset off the sum-zero code: over 10**5 vertices fail, and only
+    # WITNESS_LIMIT of them are decoded on either path
+    b = mds_bitrade(7, "coset")
+    far = [((w[0] + 1) % 7, *w[1:]) for w in b.t0]
+    report = on_both_paths(definition_check, b.params, b.kind, b.t0, far)
+    assert report.failure_count > 10**5
+    assert len(report.witnesses) == WITNESS_LIMIT
+    report = on_both_paths(eigen_check, signed_function(b.params, b.t0, far), 0)
+    assert report.failure_count > 10**5
 
 
 def test_check_bitrade_builds_the_signed_function_only_for_the_checks_that_take_it(monkeypatch):
@@ -262,17 +283,20 @@ def test_checks_match_whole_set_references_on_random_pairs():
         assert report == dist2_reference(b.params, b.kind, t0, b.t1)
 
 
-def test_definition_check_counts_one_block_at_a_time():
-    # whole-set counters of the 705,894 sphere hits per part peaked at 143 MiB
+def test_definition_check_counts_one_block_at_a_time(monkeypatch):
+    # whole-set counters of the 705,894 sphere hits per part peaked at 143 MiB; the
+    # per-block path and the bitmask path (84 step masks of 100 KiB) each stay far below
     b = mds_bitrade(7, "coset")
-    tracemalloc.start()
-    try:
-        report = definition_check(b.params, b.kind, b.t0, b.t1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.passed
-    assert peak < 50 * 2**20
+    for ceiling in (0, verify.BITMASK_VERTICES):
+        monkeypatch.setattr(verify, "BITMASK_VERTICES", ceiling)
+        tracemalloc.start()
+        try:
+            report = definition_check(b.params, b.kind, b.t0, b.t1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 50 * 2**20
 
 
 def test_full_sweep_ceiling():
