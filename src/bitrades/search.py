@@ -51,8 +51,11 @@ The walk keeps one state code per covered vertex, a + k*b for a vertex
 covered a times by part 0 and b times by part 1, in a dict as sparse as the
 parts.  Two tables indexed by code, built once per walk, say whether the
 vertex is violated and what each of the six moves would change there,
-packed into one int (``_LocalState``).  So a word's two moves are scored by
-one sum of table entries over its neighbourhood, one lookup per vertex.
+packed into one int (``_LocalState``).  A second dict, as sparse, keeps each
+covered vertex's packed entry, written in the pass that changes its code.
+So a word's two moves are scored by one sum over its neighbourhood, one
+lookup per vertex, and the walk picks among the least-scored open moves in
+one pass over the scored list (``_least_open``).
 """
 
 from __future__ import annotations
@@ -103,9 +106,9 @@ class SearchConfig:
     seeds the search with canonical first words and branches on one
     candidate per orbit of the automorphisms fixing the placed words (see
     the module docstring); False turns off both.  Local mode only:
-    ``seed`` seeds the walk's random choices, ``move_budget`` caps the
-    number of applied moves so runs can be cut off deterministically, and
-    ``start`` seeds the walk with a known bitrade.
+    ``seed``, an integer, seeds the walk's random choices, ``move_budget``
+    caps the number of applied moves so runs can be cut off
+    deterministically, and ``start`` seeds the walk with a known bitrade.
     """
 
     params: HammingParams
@@ -130,6 +133,9 @@ class SearchConfig:
         if self.move_budget is not None:
             if not is_int(self.move_budget) or self.move_budget < 1:
                 raise ValueError("move_budget must be a positive integer")
+        # None would seed from the OS, so two runs of one config would differ
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for knob in fields(self):
             if knob.name in _UNUSED[self.mode] and getattr(self, knob.name) != knob.default:
                 raise ValueError(f"{knob.name} is not used in {self.mode} mode")
@@ -452,8 +458,8 @@ _Move = tuple[int, int | None, int | None]  # (w, src, dst), as the module docst
 
 
 class _LocalState:
-    """The walk's parts, each vertex's coverage counts as one state code, and
-    the violated vertices.
+    """The walk's parts, each vertex's coverage counts as one state code and
+    its packed gain, and the violated vertices.
 
     A vertex covered a times by side 0 and b times by side 1 has code
     a + k*b, k = size + 2; ``code`` holds the nonzero codes only, so the
@@ -462,13 +468,16 @@ class _LocalState:
     symmetric in the sides), and ``gain`` packs what each of the six moves
     would change there, plus one, into fields ``width`` bits wide, in the
     order add to 0, add to 1, remove from 0, move 0 to 1, remove from 1,
-    move 1 to 0.  Summing ``gain`` over a word's neighbourhood then scores
-    that word's two moves at once: no field can carry into the next, since
-    each sums at most 2 * size.
+    move 1 to 0.  ``score`` has the keys of ``code`` and holds
+    ``gain[code[y]]`` for each, so an uncovered vertex scores ``gain[0]``.
+    Summing ``score`` over a word's neighbourhood then scores that word's
+    two moves at once: no field can carry into the next, since each sums at
+    most 2 * size.
     """
 
     __slots__ = (
-        "params", "own", "_ids", "code", "k", "step", "bad", "gain", "width", "parts", "violated",
+        "params", "own", "_ids", "code", "score", "k", "step", "bad", "gain", "width", "parts",
+        "violated",
     )
 
     def __init__(self, params: HammingParams, kind: str) -> None:
@@ -497,6 +506,7 @@ class _LocalState:
                 self.bad.append(was)
                 self.gain.append(sum(1 + now - was << i * width for i, now in enumerate(after)))
         self.code: dict[int, int] = {}
+        self.score: dict[int, int] = {}
         self.parts: tuple[set[int], set[int]] = (set(), set())
         self.violated: set[int] = set()
 
@@ -513,28 +523,33 @@ class _LocalState:
 
     def clear(self) -> None:
         self.code.clear()
+        self.score.clear()
         self.parts[0].clear()
         self.parts[1].clear()
         self.violated.clear()
 
     def move(self, w: int, src: int | None, dst: int | None) -> None:
-        """Take w from side src to side dst, updating every code around w in one pass."""
+        """Take w from side src to side dst, updating each code and score around w in one pass."""
         if src is not None:
             self.parts[src].remove(w)
         if dst is not None:
             self.parts[dst].add(w)
         delta = self.step[dst] - self.step[src]
         code = self.code
+        score = self.score
         get = code.get
         bad = self.bad
+        gain = self.gain
         add_violated = self.violated.add
         discard_violated = self.violated.discard
         for y in self.ids(w):
             c = get(y, 0) + delta
             if c:
                 code[y] = c
+                score[y] = gain[c]
             else:
                 del code[y]
+                del score[y]
             if bad[c]:
                 add_violated(y)
             else:
@@ -546,36 +561,60 @@ class _LocalState:
         Each word of x's neighbourhood yields two moves: add to side 0 and
         add to side 1 for a free word, remove and move for an unpinned part
         word (pinned words stay put; they anchor the walk away from the
-        empty state).  One sum of ``gain`` over the word's neighbourhood
+        empty state).  One sum of ``score`` over the word's neighbourhood
         scores both; each vertex adds one to every field, hence the offset.
         """
-        code_of = self.code.get
-        lookup = self.gain.__getitem__
+        score_of = self.score.get
+        uncovered = self.gain[0]
         width = self.width
         mask = (1 << width) - 1
         part0, part1 = self.parts
-        base = len(self.violated)
         ids = self.ids
-        cached = self._ids.get
+        words = ids(x)
+        # every region has len(words) vertices
+        offset = len(self.violated) - len(words)
         scored: list[tuple[int, _Move]] = []
-        for w in ids(x):
-            if w in part0 or w in part1:
+        append = scored.append
+        for w, hood in zip(words, map(self._ids.get, words)):
+            if w in part0:
                 if w in pinned:
                     continue
-                side = 0 if w in part0 else 1
-                shift = (2 + 2 * side) * width
-                first: _Move = (w, side, None)
-                second: _Move = (w, side, 1 - side)
+                shift = 2 * width
+                first: _Move = (w, 0, None)
+                second: _Move = (w, 0, 1)
+            elif w in part1:
+                if w in pinned:
+                    continue
+                shift = 4 * width
+                first = (w, 1, None)
+                second = (w, 1, 0)
             else:
                 shift = 0
                 first = (w, None, 0)
                 second = (w, None, 1)
-            hood = cached(w) or ids(w)
-            packed = sum(map(lookup, map(code_of, hood, repeat(0)))) >> shift
-            offset = base - len(hood)
-            scored.append((offset + (packed & mask), first))
-            scored.append((offset + (packed >> width & mask), second))
+            packed = sum(map(score_of, hood or ids(w), repeat(uncovered))) >> shift
+            append((offset + (packed & mask), first))
+            append((offset + (packed >> width & mask), second))
         return scored
+
+
+def _least_open(
+    scored: list[tuple[int, _Move]], barred: set[_Move], restart_best: int
+) -> list[_Move]:
+    """The moves of least score among the open ones, in order.
+
+    A move is open when it is not barred or its score beats ``restart_best``
+    (aspiration).  When every move is barred, all of them are open.
+    """
+    low = sys.maxsize
+    ties: list[_Move] = []
+    for score, mv in scored:
+        if score <= low and (score < restart_best or mv not in barred):
+            if score < low:
+                low = score
+                ties = []
+            ties.append(mv)
+    return ties if ties or not barred else _least_open(scored, set(), restart_best)
 
 
 def _local(config: SearchConfig, kind: str) -> SearchResult:
@@ -634,12 +673,7 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
             continue
         x = rng.choice(sorted(state.violated))
         scored = state.scored_moves(x, pinned)
-        barred = set(tabu)
-        open_moves = [sm for sm in scored if sm[1] not in barred or sm[0] < restart_best]
-        if not open_moves:
-            open_moves = scored
-        low = min(score for score, _ in open_moves)
-        w, src, dst = rng.choice([mv for score, mv in open_moves if score == low])
+        w, src, dst = rng.choice(_least_open(scored, set(tabu), restart_best))
         state.move(w, src, dst)
         tabu.append((w, dst, src))
         moves += 1

@@ -184,6 +184,10 @@ def test_config_validation():
     for budget in ("5", True):
         with pytest.raises(ValueError, match="time_budget"):
             SearchConfig(p, time_budget=budget)
+    # None would seed the walk from the OS, so two runs of one config would differ
+    for seed in (None, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="seed"):
+            SearchConfig(p, mode="local", seed=seed)
 
 
 def test_upper_bound_zero_means_nothing_fits():
@@ -468,6 +472,12 @@ def _counts(state):
     )
 
 
+def _scores_kept(state):
+    """Whether each covered vertex's score is the gain of its code, and no
+    other vertex has one."""
+    return state.score == {y: state.gain[c] for y, c in state.code.items()}
+
+
 def _violated_near(parts, hood, near):
     """_violated counted only on the vertices in near, from the part words."""
     counts = [
@@ -529,6 +539,7 @@ def test_move_scores_equal_a_recount(kind, n, q):
                 state.move(w, side, 1 - side if rng.random() < 0.5 else None)
             else:
                 state.move(w, None, rng.randrange(2))
+            assert _scores_kept(state)
         parts = (set(state.parts[0]), set(state.parts[1]))
         pinned = {w for w in sorted(parts[0] | parts[1]) if rng.random() < 0.3}
         violated = _violated(parts, hood)
@@ -547,6 +558,8 @@ def test_move_scores_equal_a_recount(kind, n, q):
         # scoring leaves the state as it was
         assert parts == state.parts
         assert len(state.violated) == _violated(parts, hood)
+        state.clear()
+        assert state.code == state.score == {}
     assert seen_double and seen_pinned
 
 
@@ -630,6 +643,7 @@ def test_tabu_key_undoes_its_move(kind, n, q):
         for _ in range(40):
             x = rng.choice(state.ids(rng.choice(centres)))
             state.move(*rng.choice(state.scored_moves(x, set()))[1])
+            assert _scores_kept(state)
         seen_double |= any(c > 1 for side in (0, 1) for c in _counts(state)[side].values())
         before = snapshot(state)
         xs = rng.sample(sorted(state.violated), min(12, len(state.violated)))
@@ -637,18 +651,65 @@ def test_tabu_key_undoes_its_move(kind, n, q):
         for x in xs:
             for _, (w, src, dst) in state.scored_moves(x, set()):
                 state.move(w, src, dst)
+                assert _scores_kept(state)
                 after = snapshot(state)
                 state.move(w, dst, src)
+                assert _scores_kept(state)
                 assert snapshot(state) == before
                 undone += 1
                 if src is not None and dst is not None:
                     # one pass from part to part equals removing, then adding
                     state.move(w, src, None)
+                    assert _scores_kept(state)
                     state.move(w, None, dst)
+                    assert _scores_kept(state)
                     assert snapshot(state) == after
                     state.move(w, dst, src)
+                    assert _scores_kept(state)
                     swapped += 1
+        state.clear()
+        assert state.code == state.score == {}
     assert undone and swapped and seen_double
+
+
+def _three_pass_pick(scored, barred, restart_best):
+    """The walk's earlier choice rule: keep the open moves (not barred, or
+    scoring below restart_best), or every move if none is open, then take
+    the ties at their least score."""
+    open_moves = [sm for sm in scored if sm[1] not in barred or sm[0] < restart_best]
+    if not open_moves:
+        open_moves = scored
+    low = min(score for score, _ in open_moves)
+    return [mv for score, mv in open_moves if score == low]
+
+
+def test_least_open_equals_the_three_pass_rule():
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(3000):
+        scored = []
+        for w in rng.sample(range(100), rng.randrange(1, 10)):
+            side = rng.randrange(2)
+            if rng.random() < 0.5:
+                pair = ((w, None, 0), (w, None, 1))
+            else:
+                pair = ((w, side, None), (w, side, 1 - side))
+            # few distinct scores, so ties are common
+            scored += [(rng.randrange(6), mv) for mv in pair]
+        if rng.random() < 0.25:
+            barred = {mv for _, mv in scored}
+        else:
+            barred = {mv for _, mv in scored if rng.random() < 0.5}
+        # moves off the list may be barred too, as the tabu list holds them
+        barred.add((100, None, 0))
+        restart_best = rng.randrange(7)
+        got = search_module._least_open(scored, barred, restart_best)
+        assert got == _three_pass_pick(scored, barred, restart_best)
+        seen["ties"] += len(got) > 1
+        seen["barred below"] += any(mv in barred and s < restart_best for s, mv in scored)
+        seen["barred above"] += any(mv in barred and s >= restart_best for s, mv in scored)
+        seen["all barred"] += all(mv in barred and s >= restart_best for s, mv in scored)
+    assert len(seen) == 4 and min(seen.values()) > 100, seen
 
 
 # The exhaustive engine's masks against neighbourhoods built from words:
