@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -76,8 +77,8 @@ def check_parts(
 ) -> tuple[frozenset[Word], frozenset[Word]]:
     """Both parts frozen by ``HammingParams.check_words``; a shared word raises ValueError."""
     set0, set1 = params.check_words(t0), params.check_words(t1)
-    overlap = set0 & set1
-    if overlap:
+    if not set0.isdisjoint(set1):
+        overlap = set0 & set1
         raise ValueError(
             f"parts must be disjoint; {len(overlap)} shared words, e.g. {min(overlap)!r}"
         )
@@ -189,7 +190,7 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
         if shift is not None:
             raise ValueError("shift only applies to the coset variant")
         t0 = [w for w in base.words() if w[0] != w[1]]
-        t1 = [(w[1], w[0]) + w[2:] for w in t0]
+        t1 = list(map(operator.itemgetter(1, 0, *range(2, q)), t0))
         if not t0:
             raise ValueError(
                 f"the swap variant degenerates for q = {q}: both weight rows span "

@@ -4,11 +4,12 @@ The vertices of H(n, q) are the length-n words over {0, ..., q-1}; two
 words are adjacent when they differ in exactly one coordinate.  Words are
 plain tuples of ints and codes are immutable sets of words, so everything
 in this module is pure and safe to share.  ``HammingParams`` numbers the
-vertices, and ``project`` on ids answers "do these words agree off the
-coordinates D?" for every distance, face sum and distance-profile count.
-Counting, over each D of size 1 (of size 2), the words of a set that agree
-with w off D sums to n*a0 + a1 (to C(n, 2)*a0 + (n-1)*a1 + a2), where a_j
-counts those at distance j from w.  Distances are exact at every size.
+vertices, and ``projections`` walks the position sets D of one size,
+answering on ids "do these words agree off D?" for every distance, face sum
+and distance-profile count.  Counting, over each D of size 1 (of size 2),
+the words of a set that agree with w off D sums to n*a0 + a1 (to
+C(n, 2)*a0 + (n-1)*a1 + a2), where a_j counts those at distance j from w.
+Distances are exact at every size.
 
 The neighbourhood kernel works on vertex bitmasks, one int per vertex set:
 ``moves`` shifts a whole set by each of the n(q-1) digit steps
@@ -96,9 +97,7 @@ class HammingParams:
         symbols = itertools.chain.from_iterable
         if not isinstance(words, Collection):
             words = list(words)  # the passes below would each consume an iterator
-        if all(map(self.n.__eq__, map(len, words))) and set(
-            map(type, symbols(words))
-        ) <= {int}:
+        if set(map(len, words)) <= {self.n} and set(map(type, symbols(words))) <= {int}:
             values = set(symbols(words))  # only ints, so one per distinct symbol
             if not values or (min(values) >= 0 and max(values) < self.q):
                 return frozenset(words)
@@ -269,7 +268,7 @@ def min_distance(code: Code) -> int | float:
     """Minimum distance between distinct codewords; +inf below two words.
 
     Exact at every size.  The distance is at most k exactly when dropping
-    some k coordinates (``project``) merges two codewords; for q^(n-k) <
+    some k coordinates (``projections``) merges two codewords; for q^(n-k) <
     |C| one must (pigeonhole).  Level top, the last k before that, is
     tried first: injective there proves top + 1, as for MDS codes and
     bitrade parts.  Otherwise k rises from 1 to the first merging level,
@@ -281,13 +280,10 @@ def min_distance(code: Code) -> int | float:
         return math.inf
     n, q = code.params.n, code.params.q
     top = max(k for k in range(n) if q ** (n - k) >= size)
-    ids, columns = code.params.digits(words)
+    parts = [code.params.digits(words)]
 
     def merges(k: int) -> bool:
-        return any(
-            len(set(project(ids, columns, drop))) < size
-            for drop in itertools.combinations(range(n), k)
-        )
+        return any(len(set(keys)) < size for _, (keys,) in projections(parts, k))
 
     if top and math.comb(n, top) <= size and not merges(top):
         return top + 1
@@ -309,22 +305,39 @@ def code_distance(c: Code, d: Code) -> int | float:
     if not c.words or not d.words:
         return math.inf
     n = c.params.n
-    cx, dx = map(c.params.digits, (c.words, d.words))
+    parts = [c.params.digits(c.words), d.params.digits(d.words)]
     for k in range(n):
         if math.comb(n, k) * (len(c) + len(d)) > len(c) * len(d):
             return _pairwise(itertools.product(c.words, d.words), k)
-        for drop in itertools.combinations(range(n), k):
-            if not set(project(*cx, drop)).isdisjoint(project(*dx, drop)):
-                return k
+        if any(not set(keys_c).isdisjoint(keys_d) for _, (keys_c, keys_d) in projections(parts, k)):
+            return k
     return n
 
 
-def project(ids: Iterable[int], columns: list[list[int]], drop: Iterable[int]) -> Iterator[int]:
-    """The ids less the digits at the positions in drop, lazily.
+def projections(
+    parts: list[tuple[list[int], list[list[int]]]], k: int
+) -> Iterator[tuple[tuple[int, ...], list[Iterator[int]]]]:
+    """Per set drop of k positions, in lexicographic order, each part's ids less its digits
+    at drop, lazily; a part is the ids and columns of ``HammingParams.digits``.
 
-    Two words' projections are equal exactly when the words agree off drop.
+    Two words' keys are equal exactly when the words agree off drop.  The
+    keys less each prefix of drop are listed once and kept while the walk
+    extends that prefix, so at most k - 1 lists per part are held.
     """
-    out = iter(ids)
-    for i in drop:
-        out = map(sub, out, columns[i])
-    return out
+    keys = [ids for ids, _ in parts]
+    return _extend(parts, k, (), keys) if k else iter([((), list(map(iter, keys)))])
+
+
+def _extend(parts, k: int, drop: tuple[int, ...], keys: list[list[int]]):
+    """The drops of ``projections`` that extend drop, given its keys, the ids less its digits.
+
+    Module-level: a nested function calling itself would be a reference cycle, keeping the
+    parts' lists alive after the walk until the cycle collector ran.
+    """
+    n, left = len(parts[0][1]), k - len(drop)
+    for i in range(drop[-1] + 1 if drop else 0, n - left + 1):
+        moved = [map(sub, ks, columns[i]) for ks, (_, columns) in zip(keys, parts)]
+        if left == 1:
+            yield drop + (i,), moved
+        else:
+            yield from _extend(parts, k, drop + (i,), list(map(list, moved)))

@@ -13,6 +13,9 @@ from .hamming import Code, HammingParams, Word, check_ceiling
 # Whole-code enumerations and MDS column-set tests are refused above this many.
 ENUMERATION_CEILING = 2**48
 
+# An enumeration keeps the solved tails of at most this many row-sum tuples.
+_TAILS_CACHE_LIMIT = 2**10
+
 
 class ParityCheckCode:
     """The kernel of a small stack of parity-check rows.
@@ -80,6 +83,8 @@ class ParityCheckCode:
         """Iterate over all codewords, sweeping free coordinates lexicographically.
 
         A pivot is minus its row's sum over the free coordinates, kept per free prefix.
+        The q tails a prefix's row sums solve (the last free value, then the pivots) are
+        cached for up to _TAILS_CACHE_LIMIT sum tuples, since prefixes share sums.
         """
         check_ceiling(self.size(), ENUMERATION_CEILING, f"to enumerate {self.size()} codewords")
         f, rows = self.field, self._reduced
@@ -104,8 +109,16 @@ class ParityCheckCode:
         minus_sum = [tuple(map(f.neg_table.__getitem__, row)) for row in f.add_table]
         last = [f.mul_table[row[free[-1]]] for row in rows]
 
-        def tails(sums: tuple[int, ...]) -> Iterator[Word]:
-            return zip(f.elements, *(map(minus_sum[s].__getitem__, c) for s, c in zip(sums, last)))
+        solved: dict[tuple[int, ...], tuple[Word, ...]] = {}
+
+        def tails(sums: tuple[int, ...]) -> tuple[Word, ...]:
+            found = solved.get(sums)
+            if found is None:
+                columns = (map(minus_sum[s].__getitem__, c) for s, c in zip(sums, last))
+                found = tuple(zip(f.elements, *columns))
+                if len(solved) < _TAILS_CACHE_LIMIT:
+                    solved[sums] = found
+            return found
 
         words = chain.from_iterable(map(prefix.__add__, tails(sums)) for prefix, sums in level)
         # words come out as free values then pivot values; put them in place

@@ -14,6 +14,7 @@ Text:  a header line "n q kind", then one line per word: the part tag
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 
 from .construct import Bitrade, check_kind
 from .hamming import HammingParams, Word, is_int
@@ -49,11 +50,13 @@ def from_document(doc: object) -> Bitrade:
         raw = doc[key]
         if not isinstance(raw, list):
             raise ValueError(f"{key} must be an array of words")
-        words = []
-        for entry in raw:
-            if not isinstance(entry, list) or not all(map(is_int, entry)):
-                raise ValueError(f"every word in {key} must be an array of integers")
-            words.append(tuple(entry))
+        # is_int tests one symbol of each type, which stands for the rest
+        symbols = chain.from_iterable
+        if not all(map(isinstance, raw, repeat(list))) or not all(
+            map(is_int, dict(zip(map(type, symbols(raw)), symbols(raw))).values())
+        ):
+            raise ValueError(f"every word in {key} must be an array of integers")
+        words = list(map(tuple, raw))
         if len(set(words)) != len(words):
             raise ValueError(f"duplicate word in {key}")
         parts.append(words)
@@ -81,7 +84,7 @@ def dumps_text(b: Bitrade) -> str:
     t0, t1 = b.sorted_parts()
     lines = [f"{b.params.n} {b.params.q} {b.kind}"]
     for tag, part in ((0, t0), (1, t1)):
-        lines.extend(f"{tag} " + " ".join(str(s) for s in w) for w in part)
+        lines.extend(f"{tag} " + " ".join(map(str, w)) for w in part)
     return "\n".join(lines) + "\n"
 
 

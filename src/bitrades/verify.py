@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from operator import add, or_, xor
 
 from .construct import EIGENVALUE, PERFECT, SPHERICAL, Bitrade, check_kind, check_parts
@@ -31,7 +31,7 @@ from .hamming import (
     is_int,
     min_distance,
     moves,
-    project,
+    projections,
 )
 
 WITNESS_LIMIT = 10
@@ -276,16 +276,19 @@ def dist2_pair_check(
     words = list(set0), list(set1)
     digits = [params.digits(part) for part in words]
 
-    def agreements(side: int, size: int) -> list[int]:
-        """Per word of one side: the opposite words that agree with it off D, over |D| = size."""
-        total = [0] * len(words[side])
-        for drop in combinations(range(n), size):
-            counts = Counter(project(*digits[1 - side], drop)).get
-            total = list(map(add, total, map(counts, project(*digits[side], drop), repeat(0))))
-        return total
+    def agreements(size: int) -> list[list[int]]:
+        """Per word of each side: the opposite words that agree with it off D, over |D| = size."""
+        totals = [[0] * len(part) for part in words]
+        for _, keys in projections(digits, size):
+            keys = list(map(list, keys))
+            for side, other in ((0, 1), (1, 0)):
+                counts = Counter(keys[other]).get
+                totals[side] = list(map(add, totals[side], map(counts, keys[side], repeat(0))))
+        return totals
 
+    sums1, sums2 = agreements(1), agreements(2)
     for side, (name, part, other) in enumerate(zip(("t0", "t1"), words, (set1, set0))):
-        for w, s1, s2 in zip(part, agreements(side, 1), agreements(side, 2)):
+        for w, s1, s2 in zip(part, sums1[side], sums2[side]):
             at0 = w in other
             at1 = s1 - n * at0
             at2 = s2 - (n - 1) * at1 - math.comb(n, 2) * at0
@@ -320,9 +323,9 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
     Over every face with exactly m-1 fixed positions, such a function must
     sum to zero, and must take at least two nonzero values unless it is
     zero on the whole face.  Every face is checked: one projection of the
-    support per set of fixed positions, and faces the support misses pass.
+    support per set of free positions, and faces the support misses pass.
     A projection is an integer key, the word's id less the digits of the
-    free positions (``project``), and symbols are decoded only for
+    free positions (``projections``), and symbols are decoded only for
     witnesses.  More than FACE_WORK_CEILING projections (C(n, m-1) *
     |support|) are refused with ValueError.
     """
@@ -336,10 +339,10 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
 
     failures: list[tuple] = []
     faces_with_support = 0
-    for positions in combinations(range(n), k):
-        free = [i for i in range(n) if i not in positions]
-        counted, diffs = _compare(*(project(ids, columns, free) for ids, columns in parts))
+    for free, keys in projections(parts, n - k):
+        counted, diffs = _compare(*keys)
         faces_with_support += counted
+        positions = [i for i in range(n) if i not in free]
         for key, a, b in diffs:
             face = f.params.decode(key)
             fixed = tuple((p + 1, face[p]) for p in positions)

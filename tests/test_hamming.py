@@ -17,7 +17,7 @@ from bitrades.hamming import (
     hamming_distance,
     min_distance,
     moves,
-    project,
+    projections,
 )
 from bitrades.linear import ENUMERATION_CEILING
 from bitrades.verify import WITNESS_LIMIT, definition_check
@@ -160,7 +160,8 @@ def pairwise_cross(c, d):
     )
 
 
-@pytest.mark.parametrize("n,q", [(4, 3), (5, 2)])
+# q = 4 and 2 reach walks of depth 2 and 3 and the injective top level
+@pytest.mark.parametrize("n,q", [(4, 3), (5, 2), (4, 4), (6, 2)])
 def test_distances_agree_with_pairwise_oracle(n, q):
     p = HammingParams(n, q)
     rng = random.Random(n * 10 + q)
@@ -291,14 +292,18 @@ def test_kernel_neighbourhoods_match_word_versions(case):
     words += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(5)]
     ids, columns = index.digits(words)
     assert ids == list(map(index.encode, words))
-    drops = [drop for k in range(3) for drop in itertools.combinations(range(n), k)]
-    if n > 3:
-        drops.append(tuple(sorted(rng.sample(range(n), rng.randrange(3, n + 1)))))
-    for drop in drops:
-        kept = [tuple(w[i] for i in range(n) if i not in drop) for w in words]
-        projected = list(project(ids, columns, drop))
-        # equal projections exactly when the kept symbols are equal
-        assert len(set(projected)) == len(set(kept)) == len(set(zip(projected, kept)))
+    # every drop of sizes 0-3 where n is small, and the long drops of H(40, 2)
+    sizes = {0, 1, 2, n - 1, n} | ({3} if n <= 8 else set())
+    for k in sorted(sizes):
+        # a second part, the words reversed, tests keys across parts
+        walked = list(projections([(ids, columns), index.digits(words[::-1])], k))
+        assert [drop for drop, _ in walked] == list(itertools.combinations(range(n), k))
+        for drop, (keys, back) in walked:
+            keys = list(keys)
+            assert list(back) == keys[::-1]
+            kept = [tuple(w[i] for i in range(n) if i not in drop) for w in words]
+            # equal keys exactly when the kept symbols are equal
+            assert len(set(keys)) == len(set(kept)) == len(set(zip(keys, kept)))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 7])

@@ -1,5 +1,6 @@
 """Parity-check codes: sum-zero codes, weighted MDS codes, cosets."""
 
+import collections
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ from bitrades.linear import (
     sum_zero_code,
     verify_mds,
 )
+from helpers import all_words
 
 SUM_ZERO_3 = frozenset(
     {
@@ -206,17 +208,48 @@ def test_enumeration_ceiling():
         next(c.words())
 
 
+def test_enumeration_equals_a_brute_force_sweep():
+    f3, f4 = build_field(3), build_field(4)
+    codes = [
+        sum_zero_code(f3, 4), rs_mds_code(f3), rs_mds_code(f4), rs_mds_code(build_field(5), n=4),
+        ParityCheckCode(f3, 4, [(1, 1, 1, 0)]),
+        ParityCheckCode(f4, 4, [(1, 0, 1, 0), (0, 1, 0, 0)]),
+        ParityCheckCode(f4, 3, [(2, 3, 1)]),
+        ParityCheckCode(f3, 3, []),
+        ParityCheckCode(f4, 2, [(1, 0), (0, 1)]),
+    ]
+    layouts = 0
+    for code in codes:
+        free = [i for i in range(code.n) if i not in code._pivots]
+        layouts += any(p < i for p in code._pivots for i in free)
+        members = [w for w in all_words(code.params) if w in code]
+        # one word per assignment of the free coordinates, swept lexicographically
+        assert list(code.words()) == sorted(members, key=lambda w: [w[i] for i in free])
+    # pivots left of a free coordinate put the words in place with an itemgetter
+    assert layouts == 2
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_enumeration_streams_its_prefixes():
     # with the free prefixes held as lists the first of 2**18 words peaked at 44.6 MiB
     code = ParityCheckCode(build_field(2), 18, [])
-    tracemalloc.start()
-    try:
-        first = next(code.words())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert first == (0,) * 18
-    assert peak < 2**20
+    assert _traced_peak(lambda: next(code.words())) < 2**20
+    assert next(code.words()) == (0,) * 18
+    # rank 14: 8,192 distinct row sums over its 2**14 free prefixes overflow the tail cache
+    rng = random.Random(14)
+    high = ParityCheckCode(build_field(2), 29, [[rng.randrange(2) for _ in range(29)] for _ in range(14)])
+    assert high.rank == 14
+    assert _traced_peak(lambda: next(high.words())) < 2**20
+    # a full sweep caching every prefix's tails peaked at 4.4 MiB
+    assert _traced_peak(lambda: collections.deque(high.words(), maxlen=0)) < 2**20
 
 
 def test_verify_mds():

@@ -108,9 +108,10 @@ def _source_matches(pattern: str) -> int:
     (re.escape("must be disjoint"), construct.check_parts),
     (r"\(q\s*-\s*d\)\s*\*\s*w", hamming.HammingParams.step_masks),
     (r"carry\s*&=\s*plane", hamming.bit_planes),
+    (r"map\(sub,", hamming._extend),
 ], ids=[
     "ceiling-refusal", "integer-test", "kind-check", "place-values", "spectrum", "count-compare",
-    "word-check", "part-check", "step-masks", "plane-carry",
+    "word-check", "part-check", "step-masks", "plane-carry", "projection",
 ])
 def test_package_wide_rules_are_written_once(pattern, owner):
     # a second copy of a rule anywhere in src/ fails here

@@ -122,12 +122,15 @@ def test_document_rejects_bad_words():
         from_document(overlap)
     alien = dict(good)
     alien["t0"] = [[0, 1, 3]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\(0, 1, 3\) is not a word of H\(3, 3\)$"):
         from_document(alien)
     nested = dict(good)
     nested["t0"] = [[0, 1, [2]]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^every word in t0 must be an array of integers$"):
         from_document(nested)
+    for entry in ("012", 5, (0, 1, 2), None):
+        with pytest.raises(ValueError, match="^every word in t1 must be an array of integers$"):
+            from_document({**good, "t1": [[1, 2, 0], entry]})
     for flat in ("t0", 3, {"0": [0, 1, 2]}):
         with pytest.raises(ValueError, match="t0 must be an array of words"):
             from_document({**good, "t0": flat})
