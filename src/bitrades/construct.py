@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .fields import build_field
-from .hamming import HammingParams, Word, check_ceiling, is_int
+from .hamming import HammingParams, Word, check_ceiling, is_int, trust_words
 from .linear import coset, rs_mds_code
 
 SPHERICAL = "spherical"
@@ -155,7 +155,8 @@ def alt_bitrade(q: int) -> Bitrade:
     even, odd = [], []
     for word in itertools.permutations(range(q)):
         (even if _is_even(word) else odd).append(word)
-    return Bitrade(HammingParams(q, q), SPHERICAL, even, odd)
+    params = HammingParams(q, q)
+    return Bitrade(params, SPHERICAL, trust_words(params, even), trust_words(params, odd))
 
 
 def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bitrade:
@@ -198,7 +199,7 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
                 f"unique to either part (for q = 3 every distinct-weight row gives "
                 f"the one distance-3 subcode of the sum-zero code)"
             )
-        return Bitrade(params, SPHERICAL, t0, t1)
+        return Bitrade(params, SPHERICAL, trust_words(params, t0), trust_words(params, t1))
 
     if shift is None:
         shift = (1, field.neg(1)) + (0,) * (q - 2)
@@ -237,7 +238,7 @@ def tensor_combine(a: Bitrade, b: Bitrade) -> Bitrade:
     t0 = {x + y for x in a.t0 for y in b.t0} | {x + y for x in a.t1 for y in b.t1}
     t1 = {x + y for x in a.t0 for y in b.t1} | {x + y for x in a.t1 for y in b.t0}
     params = HammingParams(a.params.n + b.params.n, a.params.q)
-    return Bitrade(params, SPHERICAL, t0, t1)
+    return Bitrade(params, SPHERICAL, trust_words(params, t0), trust_words(params, t1))
 
 
 def tensor_power(b: Bitrade, r: int) -> Bitrade:
@@ -265,4 +266,4 @@ def lift_to_perfect(b: Bitrade) -> Bitrade:
     t0 = {w + (0,) for w in b.t0} | {w + (1,) for w in b.t1}
     t1 = {w + (1,) for w in b.t0} | {w + (0,) for w in b.t1}
     params = HammingParams(b.params.n + 1, b.params.q)
-    return Bitrade(params, PERFECT, t0, t1)
+    return Bitrade(params, PERFECT, trust_words(params, t0), trust_words(params, t1))

@@ -90,17 +90,21 @@ class HammingParams:
             and max(word) < self.q
         )
 
-    def check_words(self, words: Iterable[Word]) -> frozenset[Word]:
-        """The words as a frozenset, each checked by ``contains`` before freezing could merge
-        a bool word into its int twin; ValueError names the first bad word.  An iterator is
-        read once, and valid words cost two passes over their symbols."""
+    def check_words(self, words: Iterable[Word]) -> CheckedWords:
+        """The words as a ``CheckedWords``, each checked by ``contains`` before freezing could
+        merge a bool word into its int twin; ValueError names the first bad word.  A set
+        already checked for this graph is returned as it is.  Any other input, a set checked
+        for another graph included, is read once, and valid words cost two passes over their
+        symbols."""
+        if isinstance(words, CheckedWords) and words.params == self:
+            return words
         symbols = itertools.chain.from_iterable
         if not isinstance(words, Collection):
             words = list(words)  # the passes below would each consume an iterator
         if set(map(len, words)) <= {self.n} and set(map(type, symbols(words))) <= {int}:
             values = set(symbols(words))  # only ints, so one per distinct symbol
             if not values or (min(values) >= 0 and max(values) < self.q):
-                return frozenset(words)
+                return trust_words(self, words)
         bad = next(w for w in words if not self.contains(w))
         raise ValueError(f"{bad!r} is not a word of H({self.n}, {self.q})")
 
@@ -198,6 +202,25 @@ class HammingParams:
             for i, w in enumerate(self.weights)
         ]
         return list(map(sum, zip(*columns))), columns
+
+
+class CheckedWords(frozenset):
+    """A frozen set of words of the graph ``params``: checked by ``check_words``, or made by
+    ``trust_words`` from checked sets.  Set algebra on it returns plain frozensets."""
+
+    __slots__ = ("params",)
+
+    def __reduce__(self):
+        # a pickle keeps the words, and loading it checks them again
+        return self.params.check_words, (list(self),)
+
+
+def trust_words(params: HammingParams, words: Iterable[Word]) -> CheckedWords:
+    """The words frozen as checked for params, without a pass.  Only for words derived from
+    checked sets by a map that sends words to words of H(n, q)."""
+    frozen = CheckedWords(words)
+    frozen.params = params
+    return frozen
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from itertools import chain, combinations
 from operator import getitem, itemgetter
 
 from .fields import FieldTable
-from .hamming import Code, HammingParams, Word, check_ceiling
+from .hamming import Code, HammingParams, Word, check_ceiling, trust_words
 
 # Whole-code enumerations and MDS column-set tests are refused above this many.
 ENUMERATION_CEILING = 2**48
@@ -26,7 +26,9 @@ class ParityCheckCode:
     the right as possible, so each emitted word is usually a free prefix
     plus a solved suffix.  Entries are validated once, here: each row is
     a word of H(n, q).  The row reduction uses the field's operations and
-    the enumeration reads its tables directly.
+    the enumeration reads its tables directly, so every word it makes is
+    one too: ``to_code`` and ``coset`` freeze theirs with
+    ``hamming.trust_words``, without a second check.
     """
 
     __slots__ = ("field", "n", "params", "checks", "_pivots", "_reduced")
@@ -128,7 +130,7 @@ class ParityCheckCode:
         return map(itemgetter(*map(layout.index, range(self.n))), words)
 
     def to_code(self) -> Code:
-        return Code(self.params, self.words())
+        return Code(self.params, trust_words(self.params, self.words()))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,8 @@ def coset(field: FieldTable, code: Code, shift: Word) -> Code:
         raise ValueError(f"code over GF({code.params.q}) but field is GF({field.q})")
     # adding s maps a to row s of the addition table
     rows = [field.add_table[s] for s in shift]
-    return Code(code.params, [tuple(map(getitem, rows, w)) for w in code.words])
+    words = (tuple(map(getitem, rows, w)) for w in code.words)
+    return Code(code.params, trust_words(code.params, words))
 
 
 def verify_mds(code: ParityCheckCode) -> bool:

@@ -72,7 +72,7 @@ from itertools import repeat
 from operator import or_
 
 from .construct import EIGENVALUE, PERFECT, SPHERICAL, Bitrade, bitrade_kind
-from .hamming import HammingParams, Word, bit_planes, check_ceiling, is_int, moves
+from .hamming import HammingParams, Word, bit_planes, check_ceiling, is_int, moves, trust_words
 from .verify import definition_check
 
 # Whole-graph exhaustive search is refused above this vertex count.
@@ -445,7 +445,7 @@ def _result(
     wall = time.perf_counter() - started
     best = None
     if best_ids is not None:
-        best = Bitrade(params, kind, *(map(params.decode, ids) for ids in best_ids))
+        best = Bitrade(params, kind, *(trust_words(params, map(params.decode, x)) for x in best_ids))
         if not definition_check(best.params, best.kind, best.t0, best.t1).passed:
             raise RuntimeError("internal error: search produced an invalid bitrade")
     return SearchResult(best, proven, nodes, wall)

@@ -1,5 +1,6 @@
 """The three bitrade constructions and the Bitrade container."""
 
+import pickle
 import time
 
 import pytest
@@ -7,15 +8,22 @@ import pytest
 from bitrades import construct
 from bitrades import (
     Bitrade,
+    Code,
     HammingParams,
     PERFECT,
     SPHERICAL,
+    SearchConfig,
     alt_bitrade,
+    check_bitrade,
+    definition_check,
+    dist2_pair_check,
     lift_to_perfect,
     mds_bitrade,
+    min_perfect_volume,
     tensor_combine,
     tensor_power,
 )
+from bitrades.hamming import CheckedWords
 
 ALT3_T0 = frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
 ALT3_T1 = frozenset({(0, 2, 1), (1, 0, 2), (2, 1, 0)})
@@ -321,3 +329,98 @@ def test_construction_ceiling_is_one_bound_on_volume(monkeypatch):
         tensor_combine(alt3, square)
     with pytest.raises(ValueError, match="3-fold tensor power of a volume-3"):
         tensor_power(alt3, 3)
+
+
+# ---------------------------------------------------------------------------
+# checked word sets: derived parts inherit the check, everything else gets a full pass
+
+DERIVED = {
+    **{f"alt{q}": lambda q=q: alt_bitrade(q) for q in range(3, 7)},
+    **{
+        f"mds{q}-{variant}": lambda q=q, variant=variant: mds_bitrade(q, variant)
+        for q in (4, 5, 7)
+        for variant in ("swap", "coset")
+    },
+    "tensor": lambda: tensor_combine(alt_bitrade(3), mds_bitrade(3, "coset")),
+    "lift": lambda: lift_to_perfect(alt_bitrade(4)),
+    "prove": lambda: min_perfect_volume(SearchConfig(HammingParams(4, 3))).best,
+}
+
+
+@pytest.mark.parametrize("build", DERIVED.values(), ids=DERIVED.keys())
+def test_derived_parts_are_checked_sets_of_words(build):
+    b = build()
+    for part in (b.t0, b.t1):
+        assert isinstance(part, CheckedWords) and part.params == b.params
+        assert b.params.check_words(part) is part
+        # word by word, without check_words
+        assert all(type(w) is tuple and b.params.contains(w) for w in part)
+
+
+def test_a_set_checked_for_another_graph_is_checked_again():
+    words = HammingParams(4, 3).check_words([(0, 1, 2, 0), (1, 1, 0, 0)])
+    message = r"^\(0, 1, 2, 0\) is not a word of H\(4, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        HammingParams(4, 2).check_words(words)
+    with pytest.raises(ValueError, match=message):
+        Code(HammingParams(4, 2), words)
+    fits = HammingParams(4, 2).check_words(words - {(0, 1, 2, 0)})
+    assert fits.params == HammingParams(4, 2) and fits == {(1, 1, 0, 0)}
+
+
+def test_set_algebra_returns_plain_frozensets():
+    b = alt_bitrade(4)
+    for derived in (b.t0 | b.t1, b.t0 & b.t1, b.t0 - b.t1):
+        assert type(derived) is frozenset
+        assert b.params.check_words(derived) is not derived
+
+
+def test_a_pickled_bitrade_comes_back_equal():
+    for b in (mds_bitrade(4, "coset"), lift_to_perfect(alt_bitrade(3))):
+        back = pickle.loads(pickle.dumps(b))
+        assert back == b
+        assert all(isinstance(part, CheckedWords) and part.params == b.params
+                   for part in (back.t0, back.t1))
+
+
+@pytest.fixture
+def full_passes(monkeypatch):
+    """The inputs of every check_words call that made a full pass, i.e. returned a new set."""
+    passed = []
+    check = HammingParams.check_words
+
+    def spy(self, words):
+        checked = check(self, words)
+        if checked is not words:
+            passed.append(words)
+        return checked
+
+    monkeypatch.setattr(HammingParams, "check_words", spy)
+    return passed
+
+
+# each consumer of a bitrade's parts, and how many full passes it makes over plain copies
+CONSUMERS = {
+    "definition": (lambda b: definition_check(b.params, b.kind, b.t0, b.t1), 2),
+    "dist2": (lambda b: dist2_pair_check(b.params, b.kind, b.t0, b.t1), 2),
+    "code": (lambda b: (Code(b.params, b.t0), Code(b.params, b.t1)), 2),
+    "check_bitrade": (check_bitrade, 4),
+}
+
+
+@pytest.mark.parametrize("consume,plain_passes", CONSUMERS.values(), ids=CONSUMERS.keys())
+def test_checked_parts_are_not_checked_again(full_passes, consume, plain_passes):
+    b = mds_bitrade(5, "swap")
+    full_passes.clear()  # the code's check rows
+    consume(b)
+    # the SignedFunction that check_bitrade builds still checks its dict
+    assert [words for words in full_passes if not isinstance(words, dict)] == []
+    # a Bitrade holding plain copies, as one unpickled from an older version would
+    plain = Bitrade(b.params, b.kind, [], [])
+    object.__setattr__(plain, "t0", frozenset(b.t0))
+    object.__setattr__(plain, "t1", frozenset(b.t1))
+    full_passes.clear()
+    consume(plain)
+    over_parts = [words for words in full_passes if not isinstance(words, dict)]
+    assert len(over_parts) == plain_passes
+    assert all(words is plain.t0 or words is plain.t1 for words in over_parts)

@@ -116,3 +116,16 @@ def _source_matches(pattern: str) -> int:
 def test_package_wide_rules_are_written_once(pattern, owner):
     # a second copy of a rule anywhere in src/ fails here
     assert _source_matches(pattern) == len(re.findall(pattern, inspect.getsource(owner))) == 1
+
+
+def test_trusted_word_sets_are_made_in_known_places():
+    # hamming.trust_words freezes words without checking them.  Each call derives its words
+    # from checked sets by a map that sends words to words, so a new call site must be
+    # argued for, and this count changed with it.
+    calls = {
+        path.stem: len(re.findall(r"(?<!def )\btrust_words\(", path.read_text()))
+        for path in SRC.glob("*.py")
+    }
+    assert {module: count for module, count in calls.items() if count} == {
+        "hamming": 1, "linear": 2, "construct": 8, "search": 1,
+    }
