@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
+from array import array
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .fields import build_field
-from .hamming import HammingParams, Word, check_ceiling, is_int, trust_words
+from .hamming import CheckedWords, HammingParams, Word, check_ceiling, is_int, trust_ids
 from .linear import coset, rs_mds_code
 
 SPHERICAL = "spherical"
@@ -74,8 +75,8 @@ def bitrade_kind(params: HammingParams, kind: str | None = None) -> str:
 
 def check_parts(
     params: HammingParams, t0: Iterable[Word], t1: Iterable[Word]
-) -> tuple[frozenset[Word], frozenset[Word]]:
-    """Both parts frozen by ``HammingParams.check_words``; a shared word raises ValueError."""
+) -> tuple[CheckedWords, CheckedWords]:
+    """Both parts checked by ``HammingParams.check_words``; a shared word raises ValueError."""
     set0, set1 = params.check_words(t0), params.check_words(t1)
     if not set0.isdisjoint(set1):
         overlap = set0 & set1
@@ -97,8 +98,8 @@ class Bitrade:
 
     params: HammingParams
     kind: str
-    t0: frozenset[Word]
-    t1: frozenset[Word]
+    t0: CheckedWords
+    t1: CheckedWords
 
     def __post_init__(self) -> None:
         check_kind(self.kind)
@@ -113,7 +114,8 @@ class Bitrade:
         return len(self.t0)
 
     def sorted_parts(self) -> tuple[list[Word], list[Word]]:
-        return sorted(self.t0), sorted(self.t1)
+        """Both parts' words in order: a part decodes in id order, which is word order."""
+        return list(self.t0), list(self.t1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +155,12 @@ def alt_bitrade(q: int) -> Bitrade:
     # q!/2 = 3 * 4 * ... * q
     _refuse_above_ceiling(f"alt_bitrade({q})", range(3, q + 1))
     even, odd = [], []
-    for word in itertools.permutations(range(q)):
+    for word in itertools.permutations(range(q)):  # in word order, so their ids increase
         (even if _is_even(word) else odd).append(word)
     params = HammingParams(q, q)
-    return Bitrade(params, SPHERICAL, trust_words(params, even), trust_words(params, odd))
+    return Bitrade(
+        params, SPHERICAL, *(trust_ids(params, params.encode_all(part)) for part in (even, odd))
+    )
 
 
 def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bitrade:
@@ -190,8 +194,17 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
     if swap:
         if shift is not None:
             raise ValueError("shift only applies to the coset variant")
-        t0 = [w for w in base.words() if w[0] != w[1]]
-        t1 = list(map(operator.itemgetter(1, 0, *range(2, q)), t0))
+        ids = base.to_code().words.ids
+        w0, w1 = params.weights[:2]
+        # the base ids with first symbols (d0, d1) are one slice of the sorted ids
+        cuts = [bisect_left(ids, p * w1) for p in range(q * q + 1)]
+        t0, t1 = array("q"), array("q")
+        for d0, d1 in itertools.product(range(q), repeat=2):
+            if d0 != d1:
+                t0 += ids[cuts[d0 * q + d1] : cuts[d0 * q + d1 + 1]]
+                # the swap sends block (d1, d0) here, adding (d0 - d1)(w0 - w1) to each id
+                block = ids[cuts[d1 * q + d0] : cuts[d1 * q + d0 + 1]]
+                t1.extend(map(((d0 - d1) * (w0 - w1)).__add__, block))
         if not t0:
             raise ValueError(
                 f"the swap variant degenerates for q = {q}: both weight rows span "
@@ -199,7 +212,7 @@ def mds_bitrade(q: int, variant: str = "swap", shift: Word | None = None) -> Bit
                 f"unique to either part (for q = 3 every distinct-weight row gives "
                 f"the one distance-3 subcode of the sum-zero code)"
             )
-        return Bitrade(params, SPHERICAL, trust_words(params, t0), trust_words(params, t1))
+        return Bitrade(params, SPHERICAL, trust_ids(params, t0), trust_ids(params, t1))
 
     if shift is None:
         shift = (1, field.neg(1)) + (0,) * (q - 2)
@@ -235,10 +248,16 @@ def tensor_combine(a: Bitrade, b: Bitrade) -> Bitrade:
     _refuse_above_ceiling(
         f"combining volumes {a.volume} and {b.volume}", (2, a.volume, b.volume)
     )
-    t0 = {x + y for x in a.t0 for y in b.t0} | {x + y for x in a.t1 for y in b.t1}
-    t1 = {x + y for x in a.t0 for y in b.t1} | {x + y for x in a.t1 for y in b.t0}
+    # the id of x + y is x's id times q^(n_b) plus y's
+    scale = b.params.vertex_count
+
+    def pairs(left: CheckedWords, right: CheckedWords) -> Iterable[int]:
+        return itertools.chain.from_iterable(map((x * scale).__add__, right.ids) for x in left.ids)
+
+    t0 = sorted(itertools.chain(pairs(a.t0, b.t0), pairs(a.t1, b.t1)))
+    t1 = sorted(itertools.chain(pairs(a.t0, b.t1), pairs(a.t1, b.t0)))
     params = HammingParams(a.params.n + b.params.n, a.params.q)
-    return Bitrade(params, SPHERICAL, trust_words(params, t0), trust_words(params, t1))
+    return Bitrade(params, SPHERICAL, trust_ids(params, t0), trust_ids(params, t1))
 
 
 def tensor_power(b: Bitrade, r: int) -> Bitrade:
@@ -263,7 +282,10 @@ def lift_to_perfect(b: Bitrade) -> Bitrade:
     if b.kind != SPHERICAL:
         raise ValueError(f"can only lift spherical bitrades, got kind {b.kind!r}")
     _refuse_above_ceiling(f"lifting a volume-{b.volume} bitrade", (2, b.volume))
-    t0 = {w + (0,) for w in b.t0} | {w + (1,) for w in b.t1}
-    t1 = {w + (1,) for w in b.t0} | {w + (0,) for w in b.t1}
-    params = HammingParams(b.params.n + 1, b.params.q)
-    return Bitrade(params, PERFECT, trust_words(params, t0), trust_words(params, t1))
+    # the id of w + (s,) is q times w's id plus s
+    q = b.params.q
+    own, other = ([q * x for x in part.ids] for part in (b.t0, b.t1))
+    t0 = sorted(itertools.chain(own, map((1).__add__, other)))
+    t1 = sorted(itertools.chain(map((1).__add__, own), other))
+    params = HammingParams(b.params.n + 1, q)
+    return Bitrade(params, PERFECT, trust_ids(params, t0), trust_ids(params, t1))

@@ -2,9 +2,10 @@
 
 The vertices of H(n, q) are the length-n words over {0, ..., q-1}; two
 words are adjacent when they differ in exactly one coordinate.  Words are
-plain tuples of ints and codes are immutable sets of words, so everything
-in this module is pure and safe to share.  ``HammingParams`` numbers the
-vertices, and ``projections`` walks the position sets D of one size,
+plain tuples of ints.  ``HammingParams`` numbers the vertices, and a
+checked word set (``CheckedWords``) holds the sorted ids of its words,
+decoding words only when they are read; everything in this module is
+immutable and safe to share.  ``projections`` walks the position sets D of one size,
 answering on ids "do these words agree off D?" for every distance, face sum
 and distance-profile count.  Counting, over each D of size 1 (of size 2),
 the words of a set that agree with w off D sums to n*a0 + a1 (to
@@ -24,11 +25,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Collection, Iterable, Iterator
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
-from operator import getitem, is_, itemgetter, mul, ne, sub
+from operator import add, floordiv, getitem, is_, itemgetter, lt, mod, mul, ne, sub
 
 Word = tuple[int, ...]
+
+# Ids are held as signed 64-bit ints, so word sets are refused in graphs with more vertices.
+ID_CEILING = 2**63
+
+# Words are decoded from tables of at most this many words, one per block of positions.
+_DECODE_TABLE = 2**12
+
+# Two checked sets are tested for a shared word this many ids at a time.
+_DISJOINT_BLOCK = 2**14
 
 
 def is_int(value: object) -> bool:
@@ -91,20 +103,24 @@ class HammingParams:
         )
 
     def check_words(self, words: Iterable[Word]) -> CheckedWords:
-        """The words as a ``CheckedWords``, each checked by ``contains`` before freezing could
+        """The words as a ``CheckedWords``, each checked by ``contains`` before encoding could
         merge a bool word into its int twin; ValueError names the first bad word.  A set
         already checked for this graph is returned as it is.  Any other input, a set checked
         for another graph included, is read once, and valid words cost two passes over their
-        symbols."""
+        symbols and one encoding by whole columns (``encode_all``)."""
         if isinstance(words, CheckedWords) and words.params == self:
             return words
+        check_ceiling(self.vertex_count, ID_CEILING, f"word sets of H({self.n}, {self.q})")
         symbols = itertools.chain.from_iterable
         if not isinstance(words, Collection):
             words = list(words)  # the passes below would each consume an iterator
         if set(map(len, words)) <= {self.n} and set(map(type, symbols(words))) <= {int}:
             values = set(symbols(words))  # only ints, so one per distinct symbol
             if not values or (min(values) >= 0 and max(values) < self.q):
-                return trust_words(self, words)
+                ids = self.encode_all(words)
+                # the words of a set or of a dict's keys are distinct, and so are their ids
+                distinct = ids if isinstance(words, (Set, Mapping)) else set(ids)
+                return trust_ids(self, sorted(distinct))
         bad = next(w for w in words if not self.contains(w))
         raise ValueError(f"{bad!r} is not a word of H({self.n}, {self.q})")
 
@@ -147,80 +163,198 @@ class HammingParams:
                 low = zero | low << w
         return steps
 
-    def bitmask(self, words: Iterable[Word]) -> int:
-        """The words' ids as one int, bit x set for id x."""
+    def bitmask(self, ids: Iterable[int]) -> int:
+        """The ids as one int, bit x set for id x."""
         bits = bytearray(-(-self.vertex_count // 8))
-        for x in map(self.encode, words):
+        for x in ids:
             bits[x >> 3] |= 1 << (x & 7)
         return int.from_bytes(bits, "little")
 
     def encode(self, word: Word) -> int:
         return sum(map(mul, word, self.weights))
 
+    def encode_all(self, words: Collection[Word]) -> Iterator[int]:
+        """The words' ids in their order, by Horner's rule over whole columns, so no
+        per-word sum is made."""
+        ids = map(itemgetter(0), words)
+        for i in range(1, self.n):
+            ids = map(add, map(mul, ids, itertools.repeat(self.q)), map(itemgetter(i), words))
+        return ids
+
     def decode(self, v: int) -> Word:
         return tuple(v // w % self.q for w in self.weights)
+
+    @functools.cached_property
+    def _decoder(self) -> tuple[tuple[int, int, tuple[Word, ...]], ...]:
+        """Per block of consecutive positions, first to last: its place value, its count
+        q^c of symbol strings, and those strings in id order, so string j is the j-th.
+        Blocks are as even as tables of at most _DECODE_TABLE strings allow, and there are
+        two at least, so a small graph's tables stay small."""
+        n, q = self.n, self.q
+        width = 1  # positions per table
+        while width < n and q ** (width + 1) <= _DECODE_TABLE:
+            width += 1
+        count = max(min(2, n), -(-n // width))
+        sizes = [n // count + (i < n % count) for i in range(count)]
+        tables = {c: tuple(itertools.product(range(q), repeat=c)) for c in set(sizes)}
+        place = self.vertex_count
+        blocks = []
+        for c in sizes:
+            place //= q**c
+            blocks.append((place, q**c, tables[c]))
+        return tuple(blocks)
+
+    def decode_all(self, ids: Iterable[int]) -> Iterator[Word]:
+        """The words of ids, in their order: each id is cut into blocks of positions
+        (``_decoder``) whose symbols are read from tables.  Ids are read a batch at a time,
+        so an iterator streams."""
+        total = self.vertex_count
+
+        def words(batch: list[int]) -> Iterator[Word]:
+            joined = None
+            for place, count, table in self._decoder:
+                digits = map(floordiv, batch, itertools.repeat(place)) if place > 1 else batch
+                if place * count < total:
+                    digits = map(mod, digits, itertools.repeat(count))
+                piece = map(table.__getitem__, digits)
+                joined = piece if joined is None else map(add, joined, piece)
+            return joined
+
+        stream = iter(ids)
+        batches = iter(lambda: list(itertools.islice(stream, 4096)), [])
+        return itertools.chain.from_iterable(map(words, batches))
 
     def sphere(self, word: Word) -> Iterator[int]:
         """Ids at distance 1, by increasing changed position, then symbol."""
         steps = itertools.chain.from_iterable(map(getitem, self._steps, word))
         return map(self.encode(word).__add__, steps)
 
-    def blocks(self, words: Iterable[Word]) -> Iterator[tuple[list[int], Iterator[int]]]:
-        """Per first symbol v, the ids of the words starting with v and their sphere hits there.
+    def blocks(self, part: CheckedWords) -> Iterator[tuple[Sequence[int], Iterator[int]]]:
+        """Per first symbol v, the ids of the part's words starting with v and their sphere
+        hits there.
 
         Block v's hits are the ids y with y[0] = v.  A word with first
         symbol a puts its changes at positions 1..n-1 in block a, and one
         id in each other block v: its own plus (v - a) * q^(n-1).  So every
         hit is listed once, in its own block, and the blocks together list
         what ``sphere`` lists word by word.  A ball is the word plus its
-        sphere: a block's own ids and its hits.
+        sphere: a block's own ids and its hits.  The ids are sorted, so a
+        block is one slice of them.
         """
         q, lead = self.q, self.weights[0]
         # position 0 moves a word to another block, so it adds nothing here
         inner = (((),) * q,) + self._steps[1:]
-        groups: list[list[Word]] = [[] for _ in range(q)]
-        for w in words:
-            groups[w[0]].append(w)
-        ids = [list(map(self.encode, group)) for group in groups]
+        cuts = [bisect_left(part.ids, v * lead) for v in range(q + 1)]
+        ids = [part.ids[cuts[v] : cuts[v + 1]] for v in range(q)]
         for v in range(q):
             near = (
                 map(x.__add__, itertools.chain.from_iterable(map(getitem, inner, w)))
-                for x, w in zip(ids[v], groups[v])
+                for x, w in zip(ids[v], self.decode_all(ids[v]))
             )
             far = (map(((v - a) * lead).__add__, ids[a]) for a in range(q) if a != v)
             yield ids[v], itertools.chain.from_iterable(itertools.chain(near, far))
 
-    def digits(self, words: Iterable[Word]) -> tuple[list[int], list[list[int]]]:
-        """The words' ids, and per position i the column of their digits s * q^(n-1-i).
+    def digits(self, ids: Sequence[int]) -> tuple[Sequence[int], list[list[int]]]:
+        """The ids, and per position i the column of their digits s * q^(n-1-i).
 
-        Column entries refer into one table per position, so no per-word ints are made.
+        Column entries refer into one table per position, so no per-id ints are kept.
         """
-        words = list(words)
-        q = self.q
-        columns = [
-            list(map(tuple(range(0, q * w, w)).__getitem__, map(itemgetter(i), words)))
-            for i, w in enumerate(self.weights)
-        ]
-        return list(map(sum, zip(*columns))), columns
+        columns = []
+        rest = ids  # the ids less the digits of the positions done
+        for w in self.weights:
+            table = tuple(range(0, self.q * w, w))
+            columns.append(list(map(table.__getitem__, map(floordiv, rest, itertools.repeat(w)))))
+            rest = list(map(mod, rest, itertools.repeat(w))) if w > 1 else rest
+        return ids, columns
 
 
-class CheckedWords(frozenset):
-    """A frozen set of words of the graph ``params``: checked by ``check_words``, or made by
-    ``trust_words`` from checked sets.  Set algebra on it returns plain frozensets."""
+class CheckedWords(Set):
+    """An immutable set of words of the graph ``params``, held as the sorted array of their
+    ids and nothing else: checked by ``check_words``, or made by ``trust_ids`` from ids
+    derived from checked sets.
 
-    __slots__ = ("params",)
+    ``len`` reads the array, ``in`` encodes the word and bisects, and iteration decodes in
+    id order, which is word order.  Equality and hashing agree with the frozenset of the
+    same words, and ``|``, ``&`` and ``-`` return plain frozensets.
+    """
+
+    __slots__ = ("params", "ids")
+
+    def __init__(self, params: HammingParams, ids: array) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "ids", ids)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Word]:
+        return self.params.decode_all(self.ids)
+
+    def __contains__(self, word: object) -> bool:
+        n, q = self.params.n, self.params.q
+        try:
+            if not isinstance(word, tuple) or len(word) != n or not all(0 <= s < q for s in word):
+                return False
+        except TypeError:  # a symbol that does not compare with ints
+            return False
+        x = self.params.encode(word)
+        i = bisect_left(self.ids, x)
+        return i < len(self.ids) and self.ids[i] == x
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CheckedWords) and other.params == self.params:
+            return self.ids == other.ids
+        return super().__eq__(other)
+
+    def __hash__(self) -> int:
+        return self._hash()
+
+    def isdisjoint(self, other: Iterable[Word]) -> bool:
+        if not (isinstance(other, CheckedWords) and other.params == self.params):
+            return super().isdisjoint(other)
+        # both id arrays are sorted, so each block of ours meets one slice of theirs; holding
+        # one block as a set, not all ids, keeps a large build's memory from fragmenting
+        ids, theirs = self.ids, other.ids
+        for start in range(0, len(ids), _DISJOINT_BLOCK):
+            block = ids[start : start + _DISJOINT_BLOCK]
+            near = theirs[bisect_left(theirs, block[0]) : bisect_right(theirs, block[-1])]
+            if not set(block).isdisjoint(near):
+                return False
+        return True
+
+    @classmethod
+    def _from_iterable(cls, words: Iterable[Word]) -> frozenset[Word]:
+        return frozenset(words)
+
+    def __repr__(self) -> str:
+        words = ", ".join(map(repr, self))
+        return f"{type(self).__name__}({{{words}}})" if words else f"{type(self).__name__}()"
 
     def __reduce__(self):
-        # a pickle keeps the words, and loading it checks them again
-        return self.params.check_words, (list(self),)
+        # a pickle holds the ids, and loading it checks them again
+        return _checked_ids, (self.params, self.ids)
 
 
-def trust_words(params: HammingParams, words: Iterable[Word]) -> CheckedWords:
-    """The words frozen as checked for params, without a pass.  Only for words derived from
-    checked sets by a map that sends words to words of H(n, q)."""
-    frozen = CheckedWords(words)
-    frozen.params = params
-    return frozen
+def trust_ids(params: HammingParams, ids: Iterable[int]) -> CheckedWords:
+    """Sorted distinct ids frozen as a checked set of params, without a pass; an array is
+    kept, not copied.  Only for ids derived from checked sets by a map that sends words of
+    H(n, q) to words of H(n, q)."""
+    return CheckedWords(params, ids if isinstance(ids, array) else array("q", ids))
+
+
+def _checked_ids(params: HammingParams, ids: Iterable[int]) -> CheckedWords:
+    """A pickled ``CheckedWords``: its ids must be increasing vertex ids of params."""
+    ids = array("q", ids)
+    if ids and not (
+        0 <= ids[0] and ids[-1] < params.vertex_count and all(map(lt, ids, ids[1:]))
+    ):
+        raise ValueError(
+            f"pickled ids must be increasing vertex ids of H({params.n}, {params.q})"
+        )
+    return CheckedWords(params, ids)
 
 
 @dataclass(frozen=True)
@@ -228,7 +362,7 @@ class Code:
     """A set of words in a common Hamming graph."""
 
     params: HammingParams
-    words: frozenset[Word]
+    words: CheckedWords
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", self.params.check_words(self.words))
@@ -297,13 +431,12 @@ def min_distance(code: Code) -> int | float:
     bitrade parts.  Otherwise k rises from 1 to the first merging level,
     or to the exact pairwise scan when that is cheaper.
     """
-    words = list(code.words)
-    size = len(words)
+    size = len(code.words)
     if size <= 1:
         return math.inf
     n, q = code.params.n, code.params.q
     top = max(k for k in range(n) if q ** (n - k) >= size)
-    parts = [code.params.digits(words)]
+    parts = [code.params.digits(code.words.ids)]
 
     def merges(k: int) -> bool:
         return any(len(set(keys)) < size for _, (keys,) in projections(parts, k))
@@ -312,7 +445,7 @@ def min_distance(code: Code) -> int | float:
         return top + 1
     for k in range(1, top + 1):
         if math.comb(n, k) > size:
-            return _pairwise(itertools.combinations(words, 2), k)
+            return _pairwise(itertools.combinations(code.words, 2), k)
         if merges(k):
             return k
     return top + 1
@@ -328,7 +461,7 @@ def code_distance(c: Code, d: Code) -> int | float:
     if not c.words or not d.words:
         return math.inf
     n = c.params.n
-    parts = [c.params.digits(c.words), d.params.digits(d.words)]
+    parts = [c.params.digits(c.words.ids), d.params.digits(d.words.ids)]
     for k in range(n):
         if math.comb(n, k) * (len(c) + len(d)) > len(c) * len(d):
             return _pairwise(itertools.product(c.words, d.words), k)
@@ -338,7 +471,7 @@ def code_distance(c: Code, d: Code) -> int | float:
 
 
 def projections(
-    parts: list[tuple[list[int], list[list[int]]]], k: int
+    parts: list[tuple[Sequence[int], list[list[int]]]], k: int
 ) -> Iterator[tuple[tuple[int, ...], list[Iterator[int]]]]:
     """Per set drop of k positions, in lexicographic order, each part's ids less its digits
     at drop, lazily; a part is the ids and columns of ``HammingParams.digits``.

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterable, Iterator
-from itertools import chain, combinations
-from operator import getitem, itemgetter
+from itertools import chain, combinations, islice
+from operator import getitem, lt
 
 from .fields import FieldTable
-from .hamming import Code, HammingParams, Word, check_ceiling, trust_words
+from .hamming import Code, HammingParams, Word, check_ceiling, trust_ids
 
 # Whole-code enumerations and MDS column-set tests are refused above this many.
 ENUMERATION_CEILING = 2**48
@@ -24,11 +25,11 @@ class ParityCheckCode:
     every row.  Enumeration sweeps the free coordinates in lexicographic
     order and solves for the pivot coordinates; pivots are chosen as far to
     the right as possible, so each emitted word is usually a free prefix
-    plus a solved suffix.  Entries are validated once, here: each row is
-    a word of H(n, q).  The row reduction uses the field's operations and
-    the enumeration reads its tables directly, so every word it makes is
-    one too: ``to_code`` and ``coset`` freeze theirs with
-    ``hamming.trust_words``, without a second check.
+    plus a solved suffix, and the ids come out in order.  Entries are
+    validated once, here: each row is a word of H(n, q).  The row
+    reduction uses the field's operations and the enumeration reads its
+    tables directly, so every id it makes is a word's: ``to_code`` and
+    ``coset`` freeze theirs with ``hamming.trust_ids``, without a check.
     """
 
     __slots__ = ("field", "n", "params", "checks", "_pivots", "_reduced")
@@ -81,56 +82,68 @@ class ParityCheckCode:
             self.field.dot(row, word) == 0 for row in self.checks
         )
 
-    def words(self) -> Iterator[Word]:
-        """Iterate over all codewords, sweeping free coordinates lexicographically.
+    def ids(self) -> Iterator[int]:
+        """Iterate over the codewords' ids, sweeping free coordinates lexicographically.
 
-        A pivot is minus its row's sum over the free coordinates, kept per free prefix.
-        The q tails a prefix's row sums solve (the last free value, then the pivots) are
-        cached for up to _TAILS_CACHE_LIMIT sum tuples, since prefixes share sums.
+        A free prefix's id sums its symbols' place values, and a pivot is minus its row's
+        sum over the free coordinates, kept per free prefix.  The ids of the q tails a
+        prefix's row sums solve (the last free value, then the pivots) are cached for up to
+        _TAILS_CACHE_LIMIT sum tuples, since prefixes share sums.
         """
         check_ceiling(self.size(), ENUMERATION_CEILING, f"to enumerate {self.size()} codewords")
-        f, rows = self.field, self._reduced
+        f, rows, weights = self.field, self._reduced, self.params.weights
         free = [i for i in range(self.n) if i not in self._pivots]
         if not free:
-            return iter([(0,) * self.n])
+            return iter([0])
 
-        def extend(level: Iterable[tuple], terms: list[tuple[int, ...]]) -> Iterator[tuple]:
-            # each prefix followed by each value v, the row sums plus v's terms
+        def places(pos: int) -> tuple[int, ...]:
+            # places(pos)[v]: the place value of symbol v at pos
+            return tuple(range(0, f.q * weights[pos], weights[pos]))
+
+        def extend(level: Iterable[tuple], pos: int) -> Iterator[tuple]:
+            # each prefix followed by each value v at pos, the row sums plus v's terms
+            terms = [tuple(f.mul_table[row[pos]][v] for row in rows) for v in f.elements]
+            steps = list(zip(places(pos), terms))
             for prefix, sums in level:
                 adders = list(map(f.add_table.__getitem__, sums))
-                for v, term in enumerate(terms):
-                    yield prefix + (v,), tuple(map(getitem, adders, term))
+                for place, term in steps:
+                    yield prefix + place, tuple(map(getitem, adders, term))
 
         # every free prefix but the last coordinate, with each row's sum over
         # it, streamed: one prefix per level is held at a time
-        level: Iterable[tuple] = [((), (0,) * len(rows))]
+        level: Iterable[tuple] = [(0, (0,) * len(rows))]
         for pos in free[:-1]:
-            terms = [tuple(f.mul_table[row[pos]][v] for row in rows) for v in f.elements]
-            level = extend(level, terms)
+            level = extend(level, pos)
         # minus_sum[s][x] = -(s + x): one row of it solves a pivot for every last value
         minus_sum = [tuple(map(f.neg_table.__getitem__, row)) for row in f.add_table]
         last = [f.mul_table[row[free[-1]]] for row in rows]
+        last_places, pivot_places = places(free[-1]), list(map(places, self._pivots))
 
-        solved: dict[tuple[int, ...], tuple[Word, ...]] = {}
+        solved: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-        def tails(sums: tuple[int, ...]) -> tuple[Word, ...]:
+        def tails(sums: tuple[int, ...]) -> tuple[int, ...]:
             found = solved.get(sums)
             if found is None:
-                columns = (map(minus_sum[s].__getitem__, c) for s, c in zip(sums, last))
-                found = tuple(zip(f.elements, *columns))
+                columns = (
+                    map(place.__getitem__, map(minus_sum[s].__getitem__, c))
+                    for s, c, place in zip(sums, last, pivot_places)
+                )
+                found = tuple(map(sum, zip(last_places, *columns)))
                 if len(solved) < _TAILS_CACHE_LIMIT:
                     solved[sums] = found
             return found
 
-        words = chain.from_iterable(map(prefix.__add__, tails(sums)) for prefix, sums in level)
-        # words come out as free values then pivot values; put them in place
-        layout = free + list(self._pivots)
-        if layout == sorted(layout):
-            return words
-        return map(itemgetter(*map(layout.index, range(self.n))), words)
+        return chain.from_iterable(map(prefix.__add__, tails(sums)) for prefix, sums in level)
+
+    def words(self) -> Iterator[Word]:
+        """Iterate over all codewords in the order of ``ids``, decoding their ids."""
+        return self.params.decode_all(self.ids())
 
     def to_code(self) -> Code:
-        return Code(self.params, trust_words(self.params, self.words()))
+        ids = array("q", self.ids())
+        if not all(map(lt, ids, islice(ids, 1, None))):  # pivots left of a free coordinate
+            ids = sorted(ids)
+        return Code(self.params, trust_ids(self.params, ids))
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +176,14 @@ def coset(field: FieldTable, code: Code, shift: Word) -> Code:
     code.params.check_words((shift,))
     if code.params.q != field.q:
         raise ValueError(f"code over GF({code.params.q}) but field is GF({field.q})")
-    # adding s maps a to row s of the addition table
-    rows = [field.add_table[s] for s in shift]
-    words = (tuple(map(getitem, rows, w)) for w in code.words)
-    return Code(code.params, trust_words(code.params, words))
+    params = code.params
+    _, columns = params.digits(code.words.ids)
+    # adding s at a position of place value w sends the digit a * w to (a + s) * w
+    moved = (
+        map({a * w: field.add_table[s][a] * w for a in field.elements}.__getitem__, column)
+        for column, s, w in zip(columns, shift, params.weights)
+    )
+    return Code(params, trust_ids(params, sorted(map(sum, zip(*moved)))))
 
 
 def verify_mds(code: ParityCheckCode) -> bool:

@@ -72,7 +72,7 @@ from itertools import repeat
 from operator import or_
 
 from .construct import EIGENVALUE, PERFECT, SPHERICAL, Bitrade, bitrade_kind
-from .hamming import HammingParams, Word, bit_planes, check_ceiling, is_int, moves, trust_words
+from .hamming import HammingParams, Word, bit_planes, check_ceiling, is_int, moves, trust_ids
 from .verify import definition_check
 
 # Whole-graph exhaustive search is refused above this vertex count.
@@ -441,11 +441,11 @@ def _result(
     params: HammingParams, kind: str, best_ids: tuple[tuple[int, ...], tuple[int, ...]] | None,
     proven: bool, nodes: int, started: float,
 ) -> SearchResult:
-    """Both engines' exit: decode the best id pair, self-check it and wrap it."""
+    """Both engines' exit: freeze the best sorted id pair, self-check it and wrap it."""
     wall = time.perf_counter() - started
     best = None
     if best_ids is not None:
-        best = Bitrade(params, kind, *(trust_words(params, map(params.decode, x)) for x in best_ids))
+        best = Bitrade(params, kind, *(trust_ids(params, x) for x in best_ids))
         if not definition_check(best.params, best.kind, best.t0, best.t1).passed:
             raise RuntimeError("internal error: search produced an invalid bitrade")
     return SearchResult(best, proven, nodes, wall)
@@ -642,9 +642,9 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
         pinned.clear()
         stagnation = 0
         if start is not None:
-            for side, words in ((0, start.t0), (1, start.t1)):
-                for word in words:
-                    state.move(params.encode(word), None, side)
+            for side, part in ((0, start.t0), (1, start.t1)):
+                for x in part.ids:
+                    state.move(x, None, side)
             if state.parts[0]:
                 pinned.add(min(state.parts[0]))
         else:

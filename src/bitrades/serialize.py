@@ -2,8 +2,9 @@
 
 Both formats carry the same data: n, q, kind, and the two parts.  Words
 are serialized as integer sequences so alphabets beyond 10 symbols need
-no escaping, and parts are written in lexicographic order so equal
-bitrades produce byte-identical files.
+no escaping, and parts are written in lexicographic order, the order in
+which a part decodes its ids, so equal bitrades produce byte-identical
+files.
 
 JSON:  {"format_version": "1", "n": .., "q": .., "kind": ..,
         "t0": [[..], ..], "t1": [[..], ..]}
@@ -24,14 +25,13 @@ FORMAT_VERSION = "1"
 
 def to_document(b: Bitrade) -> dict:
     """The canonical JSON-ready dict for a bitrade."""
-    t0, t1 = b.sorted_parts()
     return {
         "format_version": FORMAT_VERSION,
         "n": b.params.n,
         "q": b.params.q,
         "kind": b.kind,
-        "t0": [list(w) for w in t0],
-        "t1": [list(w) for w in t1],
+        "t0": list(map(list, b.t0)),
+        "t1": list(map(list, b.t1)),
     }
 
 
@@ -81,9 +81,8 @@ def loads_json(text: str) -> Bitrade:
 
 
 def dumps_text(b: Bitrade) -> str:
-    t0, t1 = b.sorted_parts()
     lines = [f"{b.params.n} {b.params.q} {b.kind}"]
-    for tag, part in ((0, t0), (1, t1)):
+    for tag, part in ((0, b.t0), (1, b.t1)):
         lines.extend(f"{tag} " + " ".join(map(str, w)) for w in part)
     return "\n".join(lines) + "\n"
 

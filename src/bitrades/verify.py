@@ -22,6 +22,7 @@ from operator import add, or_, xor
 
 from .construct import EIGENVALUE, PERFECT, SPHERICAL, Bitrade, check_kind, check_parts
 from .hamming import (
+    CheckedWords,
     Code,
     HammingParams,
     Word,
@@ -100,6 +101,19 @@ def _compare(first: Iterable[int], second: Iterable[int], cap=None, visited=froz
     return len(keys), [(x, a, b) for x, a, b in pairs if a != b or cap is not None and a > cap]
 
 
+def _compare_keys(first: Iterable[int], second: Iterable[int]):
+    """``_compare`` without a cap or visited ids, by key sets: where neither side repeats a
+    key every count is 0 or 1, so only a side that repeats one is counted."""
+    first, second = list(first), list(second)
+    keys0, keys1 = set(first), set(second)
+    if len(keys0) < len(first) or len(keys1) < len(second):
+        return _compare(first, second)
+    if keys0 == keys1:
+        return len(keys0), []
+    diffs = [(x, 1, 0) for x in keys0 - keys1] + [(x, 0, 1) for x in keys1 - keys0]
+    return len(keys0 | keys1), diffs
+
+
 def _count(params: HammingParams, t0, t1, theta: int, capped=False, visit=False):
     """Compare, at every vertex, each part's sphere hits plus -theta copies of its own words
     (theta <= 0), or theta copies of the other part's (theta > 0).
@@ -113,7 +127,7 @@ def _count(params: HammingParams, t0, t1, theta: int, capped=False, visit=False)
     """
     if params.vertex_count > BITMASK_VERTICES:
         return _count_blocks(params, t0, t1, theta, capped, visit)
-    parts = params.bitmask(t0), params.bitmask(t1)
+    parts = params.bitmask(t0.ids), params.bitmask(t1.ids)
     steps = params.step_masks()
     width = (params.degree + abs(theta)).bit_length()
     owns = parts if theta <= 0 else parts[::-1]
@@ -164,18 +178,25 @@ class SignedFunction:
 
     params: HammingParams
     values: dict[Word, int]
+    _parts: tuple[CheckedWords, CheckedWords] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", dict(self.values))
-        self.params.check_words(self.values)
-        if not set(self.values.values()) <= {1, -1}:
-            w, v = next((w, v) for w, v in self.values.items() if v not in (1, -1))
-            raise ValueError(f"value at {w!r} must be +1 or -1, got {v!r}")
+        values = dict(self.values)
+        object.__setattr__(self, "values", values)
+        signs = [[w for w, v in values.items() if v == s] for s in (1, -1)]
+        try:
+            if sum(map(len, signs)) < len(values):
+                raise ValueError  # a value other than +1 and -1
+            object.__setattr__(self, "_parts", tuple(map(self.params.check_words, signs)))
+        except ValueError:
+            # refuse the first bad word in the dict's order, else the first bad value
+            self.params.check_words(values)
+            w, v = next((w, v) for w, v in values.items() if v not in (1, -1))
+            raise ValueError(f"value at {w!r} must be +1 or -1, got {v!r}") from None
 
-    def parts(self) -> tuple[list[Word], list[Word]]:
-        """The words where f is +1, and those where it is -1."""
-        plus = [w for w, v in self.values.items() if v == 1]
-        return plus, [w for w, v in self.values.items() if v == -1]
+    def parts(self) -> tuple[CheckedWords, CheckedWords]:
+        """The words where f is +1, and those where it is -1, checked once when f was made."""
+        return self._parts
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +243,17 @@ def eigen_check(f: SignedFunction, eigenvalue: int) -> VerificationReport:
             f"the check can only fail",
             stacklevel=2,
         )
-    degree = f.params.degree
+    return _eigen(f.params, *f.parts(), eigenvalue)
+
+
+def _eigen(
+    params: HammingParams, t0: CheckedWords, t1: CheckedWords, eigenvalue: int
+) -> VerificationReport:
+    """``eigen_check`` of the function that is +1 on t0 and -1 on t1."""
+    degree = params.degree
     # a sphere sum lies within -degree..degree, so past degree + 1 the failures stay the same
     theta = max(-1 - degree, min(eigenvalue, 1 + degree))
-    checked, count, diffs = _count(f.params, *f.parts(), theta, visit=True)
+    checked, count, diffs = _count(params, t0, t1, theta, visit=True)
     failures = [(word, eigenvalue * v, up - down + theta * v) for word, v, up, down in diffs]
     details = {"eigenvalue": eigenvalue, "vertices_checked": checked}
     return _report("eigen", failures, details, count)
@@ -273,12 +301,12 @@ def dist2_pair_check(
     else:
         details["expected_distance1"] = 1
 
-    words = list(set0), list(set1)
-    digits = [params.digits(part) for part in words]
+    ids = set0.ids, set1.ids
+    digits = [params.digits(part) for part in ids]
 
     def agreements(size: int) -> list[list[int]]:
         """Per word of each side: the opposite words that agree with it off D, over |D| = size."""
-        totals = [[0] * len(part) for part in words]
+        totals = [[0] * len(part) for part in ids]
         for _, keys in projections(digits, size):
             keys = list(map(list, keys))
             for side, other in ((0, 1), (1, 0)):
@@ -287,15 +315,16 @@ def dist2_pair_check(
         return totals
 
     sums1, sums2 = agreements(1), agreements(2)
-    for side, (name, part, other) in enumerate(zip(("t0", "t1"), words, (set1, set0))):
-        for w, s1, s2 in zip(part, sums1[side], sums2[side]):
-            at0 = w in other
+    shared = set(ids[0]).intersection(ids[1])
+    for side, (name, part) in enumerate(zip(("t0", "t1"), ids)):
+        for x, s1, s2 in zip(part, sums1[side], sums2[side]):
+            at0 = x in shared
             at1 = s1 - n * at0
             at2 = s2 - (n - 1) * at1 - math.comb(n, 2) * at0
             if kind == PERFECT and at1 != 1:
-                failures.append(("count_distance1", name, w, at1, 1))
+                failures.append(("count_distance1", name, params.decode(x), at1, 1))
             if at2 != expected_pairs:
-                failures.append(("count_distance2", name, w, at2, expected_pairs))
+                failures.append(("count_distance2", name, params.decode(x), at2, expected_pairs))
 
     return _report("dist2", failures, details)
 
@@ -329,22 +358,28 @@ def delsarte_face_check(f: SignedFunction, m: int) -> VerificationReport:
     witnesses.  More than FACE_WORK_CEILING projections (C(n, m-1) *
     |support|) are refused with ValueError.
     """
-    n, q = f.params.n, f.params.q
+    return _faces(f.params, *f.parts(), m)
+
+
+def _faces(params: HammingParams, t0: CheckedWords, t1: CheckedWords, m: int) -> VerificationReport:
+    """``delsarte_face_check`` of the function that is +1 on t0 and -1 on t1."""
+    n, q = params.n, params.q
     if not is_int(m) or not 1 <= m <= n + 1:
         raise ValueError(f"face-sum order m must be in 1..{n + 1}, got {m!r}")
     k = m - 1
-    what = f"a face check of C({n}, {k}) position sets over {len(f.values)} words"
-    check_ceiling(math.comb(n, k) * max(1, len(f.values)), FACE_WORK_CEILING, what)
-    parts = [f.params.digits(words) for words in f.parts()]
+    size = len(t0) + len(t1)
+    what = f"a face check of C({n}, {k}) position sets over {size} words"
+    check_ceiling(math.comb(n, k) * max(1, size), FACE_WORK_CEILING, what)
+    parts = [params.digits(part.ids) for part in (t0, t1)]
 
     failures: list[tuple] = []
     faces_with_support = 0
     for free, keys in projections(parts, n - k):
-        counted, diffs = _compare(*keys)
+        counted, diffs = _compare_keys(*keys)
         faces_with_support += counted
         positions = [i for i in range(n) if i not in free]
         for key, a, b in diffs:
-            face = f.params.decode(key)
+            face = params.decode(key)
             fixed = tuple((p + 1, face[p]) for p in positions)
             failures.append(("zero_sum", fixed, a - b))
             # a lone nonzero value makes the sum nonzero too
@@ -375,12 +410,13 @@ def check_bitrade(b: Bitrade, checks: Iterable[str] = CHECKS) -> dict[str, Verif
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {CHECKS}")
     eigenvalue = EIGENVALUE[b.kind]
-    if {"eigen", "delsarte"} & set(names):  # only these two take a SignedFunction
-        f = SignedFunction(b.params, {**dict.fromkeys(b.t0, 1), **dict.fromkeys(b.t1, -1)})
+    # a Bitrade's parts are checked sets; only a part set by hand (say to a plain copy) is
+    # checked here, once for all four checks
+    t0, t1 = b.params.check_words(b.t0), b.params.check_words(b.t1)
     run = {
-        "definition": lambda: definition_check(b.params, b.kind, b.t0, b.t1),
-        "eigen": lambda: eigen_check(f, eigenvalue),
-        "dist2": lambda: dist2_count_check(b),
-        "delsarte": lambda: delsarte_face_check(f, delsarte_order(b.params, eigenvalue)),
+        "definition": lambda: definition_check(b.params, b.kind, t0, t1),
+        "eigen": lambda: _eigen(b.params, t0, t1, eigenvalue),
+        "dist2": lambda: dist2_pair_check(b.params, b.kind, t0, t1),
+        "delsarte": lambda: _faces(b.params, t0, t1, delsarte_order(b.params, eigenvalue)),
     }
     return {name: run[name]() for name in CHECKS if name in names}

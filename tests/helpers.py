@@ -1,9 +1,10 @@
 """Shared test utilities: word-level neighbourhoods, corruptions, random pairs,
 reference checks and the characterization votes."""
 
+import functools
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, inf
 
 from bitrades import (
@@ -17,8 +18,10 @@ from bitrades import (
     definition_check,
     dist2_pair_check,
     eigen_check,
+    build_field,
     hamming_distance,
     min_distance,
+    rs_mds_code,
 )
 from bitrades.verify import WITNESS_LIMIT
 
@@ -232,3 +235,59 @@ def translate_parts(params: HammingParams, t0, t1, shift):
         )
 
     return apply(t0), apply(t1)
+
+
+# ---------------------------------------------------------------------------
+# the constructions' parts, built from tuples
+
+
+def decode_reference(params: HammingParams, x: int):
+    """Reference: the word of id x, its first symbol most significant."""
+    return tuple(x // params.q ** (params.n - 1 - i) % params.q for i in range(params.n))
+
+
+def alt_reference(q: int):
+    """The even and the odd permutations of range(q), by their inversion counts."""
+    parts = (set(), set())
+    for word in permutations(range(q)):
+        inversions = sum(word[i] > word[j] for i, j in combinations(range(q), 2))
+        parts[inversions % 2].add(word)
+    return parts
+
+
+@functools.cache
+def mds_code_reference(q: int) -> frozenset:
+    """The distance-3 code of the MDS bitrades, swept: every prefix of q - 1 symbols is
+    completed to coordinate sum zero, as every codeword is, and kept if ``in`` the code."""
+    field, code = build_field(q), rs_mds_code(build_field(q), q)
+    completed = (w + (field.neg(field.sum(w)),) for w in product(range(q), repeat=q - 1))
+    return frozenset(w for w in completed if w in code)
+
+
+def mds_reference(q: int, variant: str):
+    """The parts of ``mds_bitrade(q, variant)`` with its default shift, from the swept code."""
+    base = mds_code_reference(q)
+    if variant == "swap":
+        t0 = {w for w in base if w[0] != w[1]}
+        return t0, {(w[1], w[0]) + w[2:] for w in t0}
+    field = build_field(q)
+    shift = (1, field.neg(1)) + (0,) * (q - 2)
+    return set(base), {tuple(map(field.add, w, shift)) for w in base}
+
+
+def tensor_reference(a, b):
+    """Straight pairs of concatenated words against cross pairs."""
+    (a0, a1), (b0, b1) = a, b
+
+    def join(left, right):
+        return {x + y for x in left for y in right}
+
+    return join(a0, b0) | join(a1, b1), join(a0, b1) | join(a1, b0)
+
+
+def lift_reference(t0, t1):
+    """Each word with 0 appended in its part and with 1 appended in the other."""
+    return (
+        {w + (0,) for w in t0} | {w + (1,) for w in t1},
+        {w + (1,) for w in t0} | {w + (0,) for w in t1},
+    )

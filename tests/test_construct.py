@@ -2,6 +2,8 @@
 
 import pickle
 import time
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -24,6 +26,13 @@ from bitrades import (
     tensor_power,
 )
 from bitrades.hamming import CheckedWords
+from helpers import (
+    alt_reference,
+    decode_reference,
+    lift_reference,
+    mds_reference,
+    tensor_reference,
+)
 
 ALT3_T0 = frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
 ALT3_T1 = frozenset({(0, 2, 1), (1, 0, 2), (2, 1, 0)})
@@ -357,6 +366,81 @@ def test_derived_parts_are_checked_sets_of_words(build):
         assert all(type(w) is tuple and b.params.contains(w) for w in part)
 
 
+# each derived bitrade's parts, built here from tuples (the search result's from its ids,
+# decoded one by one)
+REFERENCES = {
+    **{f"alt{q}": lambda b, q=q: alt_reference(q) for q in range(3, 7)},
+    **{
+        f"mds{q}-{variant}": lambda b, q=q, variant=variant: mds_reference(q, variant)
+        for q in (4, 5, 7)
+        for variant in ("swap", "coset")
+    },
+    "tensor": lambda b: tensor_reference(alt_reference(3), mds_reference(3, "coset")),
+    "lift": lambda b: lift_reference(*alt_reference(4)),
+    "prove": lambda b: tuple({decode_reference(b.params, x) for x in part.ids} for part in (b.t0, b.t1)),
+}
+
+
+@pytest.mark.parametrize("name", DERIVED.keys())
+def test_derived_parts_decode_to_their_words(name):
+    b = DERIVED[name]()
+    for part, reference in zip((b.t0, b.t1), REFERENCES[name](b)):
+        # iteration decodes in id order, which is word order
+        assert list(part) == sorted(reference)
+        assert part == reference and len(part) == len(reference)
+        assert all(word in part for word in reference)
+
+
+def test_a_built_bitrade_holds_its_parts_as_ids():
+    mds_bitrade(7, "coset")  # GF(7) is built once and kept
+    tracemalloc.start()
+    try:
+        b = mds_bitrade(7, "coset")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # two parts of 16,807 ids take about 263 KiB; as frozensets of tuples they took 3.9 MiB
+    assert b.volume == 7**5 and held < 2**20
+
+
+def test_membership_is_word_equality():
+    b = alt_bitrade(3)
+    assert (0, 1, 2) in b.t0 and (0, True, 2) in b.t0  # True == 1, as in a frozenset
+    for absent in [(0, 2, 1), (0, 1), (0, 1, 2, 0), (0, 1, 3), (0, -1, 2), (0, "1", 2), [0, 1, 2]]:
+        assert absent not in b.t0
+    assert hash(b.t0) == hash(ALT3_T0) and b.t0 == ALT3_T0 and ALT3_T0 == b.t0
+    assert b.t0 != ALT3_T1 and b.t0 != list(ALT3_T0)
+    assert repr(b.t0) == "CheckedWords({(0, 1, 2), (1, 2, 0), (2, 0, 1)})"
+    with pytest.raises(AttributeError):
+        b.t0.ids = array("q")
+
+
+H33 = HammingParams(3, 3)
+
+
+# A word set's refusals, wherever it enters: the message each gives.
+@pytest.mark.parametrize("call,message", [
+    (lambda: Bitrade(H33, SPHERICAL, [(0, 1, 2), (0, 1, 3)], []),
+     r"^\(0, 1, 3\) is not a word of H\(3, 3\)$"),
+    (lambda: Bitrade(H33, SPHERICAL, [(1, 1, 1)], [(0, 1, 2), (0, True, 2)]),
+     r"^\(0, True, 2\) is not a word of H\(3, 3\)$"),
+    (lambda: Bitrade(H33, SPHERICAL, [(2, 2, 2), (0, 1, 2), (1, 1, 1)], [(1, 1, 1), (0, 1, 2)]),
+     r"^parts must be disjoint; 2 shared words, e.g. \(0, 1, 2\)$"),
+    (lambda: pickle.loads(pickle.dumps(CheckedWords(H33, array("q", [5, 3])))),
+     r"^pickled ids must be increasing vertex ids of H\(3, 3\)$"),
+    (lambda: pickle.loads(pickle.dumps(CheckedWords(H33, array("q", [3, 3])))),
+     r"^pickled ids must be increasing vertex ids of H\(3, 3\)$"),
+    (lambda: pickle.loads(pickle.dumps(CheckedWords(H33, array("q", [0, 27])))),
+     r"^pickled ids must be increasing vertex ids of H\(3, 3\)$"),
+    (lambda: pickle.loads(pickle.dumps(CheckedWords(H33, array("q", [-1, 0])))),
+     r"^pickled ids must be increasing vertex ids of H\(3, 3\)$"),
+], ids=["bad", "bool-twin", "shared", "pickled-unsorted", "pickled-repeat", "pickled-range",
+        "pickled-negative"])
+def test_word_set_refusals_are_pinned(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_a_set_checked_for_another_graph_is_checked_again():
     words = HammingParams(4, 3).check_words([(0, 1, 2, 0), (1, 1, 0, 0)])
     message = r"^\(0, 1, 2, 0\) is not a word of H\(4, 2\)$"
@@ -404,7 +488,7 @@ CONSUMERS = {
     "definition": (lambda b: definition_check(b.params, b.kind, b.t0, b.t1), 2),
     "dist2": (lambda b: dist2_pair_check(b.params, b.kind, b.t0, b.t1), 2),
     "code": (lambda b: (Code(b.params, b.t0), Code(b.params, b.t1)), 2),
-    "check_bitrade": (check_bitrade, 4),
+    "check_bitrade": (check_bitrade, 2),
 }
 
 
@@ -413,14 +497,12 @@ def test_checked_parts_are_not_checked_again(full_passes, consume, plain_passes)
     b = mds_bitrade(5, "swap")
     full_passes.clear()  # the code's check rows
     consume(b)
-    # the SignedFunction that check_bitrade builds still checks its dict
-    assert [words for words in full_passes if not isinstance(words, dict)] == []
+    assert full_passes == []
     # a Bitrade holding plain copies, as one unpickled from an older version would
     plain = Bitrade(b.params, b.kind, [], [])
     object.__setattr__(plain, "t0", frozenset(b.t0))
     object.__setattr__(plain, "t1", frozenset(b.t1))
     full_passes.clear()
     consume(plain)
-    over_parts = [words for words in full_passes if not isinstance(words, dict)]
-    assert len(over_parts) == plain_passes
-    assert all(words is plain.t0 or words is plain.t1 for words in over_parts)
+    assert len(full_passes) == plain_passes
+    assert all(words is plain.t0 or words is plain.t1 for words in full_passes)

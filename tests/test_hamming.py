@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -290,13 +291,15 @@ def test_kernel_neighbourhoods_match_word_versions(case):
     rng = random.Random(index.encode(word))
     words = [word, *sphere(params, word), tuple((s + 1) % q for s in word)]
     words += [tuple(rng.randrange(q) for _ in range(n)) for _ in range(5)]
-    ids, columns = index.digits(words)
-    assert ids == list(map(index.encode, words))
+    ids = list(map(index.encode, words))
+    _, columns = index.digits(ids)
+    assert list(map(sum, zip(*columns))) == ids
+    assert columns == [[s * w for s in map(itemgetter(i), words)] for i, w in enumerate(index.weights)]
     # every drop of sizes 0-3 where n is small, and the long drops of H(40, 2)
     sizes = {0, 1, 2, n - 1, n} | ({3} if n <= 8 else set())
     for k in sorted(sizes):
         # a second part, the words reversed, tests keys across parts
-        walked = list(projections([(ids, columns), index.digits(words[::-1])], k))
+        walked = list(projections([(ids, columns), index.digits(ids[::-1])], k))
         assert [drop for drop, _ in walked] == list(itertools.combinations(range(n), k))
         for drop, (keys, back) in walked:
             keys = list(keys)
@@ -315,10 +318,10 @@ def test_blocks_split_the_neighbourhood_hits_by_first_symbol(q):
         for _ in range(10):
             size = rng.randrange(min(params.vertex_count, 30) + 1)
             words = rng.sample(list(all_words(params)), size)
-            blocks = [(own, list(hits)) for own, hits in index.blocks(words)]
+            blocks = [(list(own), list(hits)) for own, hits in index.blocks(params.check_words(words))]
             assert len(blocks) == q
             for v, (own, hits) in enumerate(blocks):
-                assert own == [index.encode(w) for w in words if w[0] == v]
+                assert own == sorted(index.encode(w) for w in words if w[0] == v)
                 assert all(index.decode(x)[0] == v for x in hits)
             own = [x for ids, _ in blocks for x in ids]
             hits = [x for _, block in blocks for x in block]
@@ -336,9 +339,9 @@ def test_digit_steps_move_a_vertex_set_to_each_neighbour(n, q):
     rng = random.Random(10 * n + q)
     for _ in range(10):
         chosen = rng.sample(words, rng.randint(0, len(words)))
-        moved = list(moves(params.bitmask(chosen), steps))
+        moved = list(moves(params.bitmask(map(params.encode, chosen)), steps))
         assert moved == [
-            params.bitmask(w[:i] + ((w[i] + d) % q,) + w[i + 1:] for w in chosen)
+            params.bitmask(params.encode(w[:i] + ((w[i] + d) % q,) + w[i + 1:]) for w in chosen)
             for i in range(n) for d in range(q - 1, 0, -1)
         ]
         planes = bit_planes(moved, params.degree.bit_length())

@@ -41,11 +41,13 @@ CEILINGS = [
      lambda: bitrades.delsarte_face_check(
          bitrades.SignedFunction(bitrades.HammingParams(40, 2), {(0,) * 40: 1, (1,) * 40: -1}), 20)),
     (fields, "FIELD_SIZE_LIMIT", "2**9", lambda: bitrades.build_field(625)),
+    (hamming, "ID_CEILING", "2**63", lambda: bitrades.Code(bitrades.HammingParams(64, 2), [])),
 ]
 
 
 @pytest.mark.parametrize(
-    "module,name,shown,refused", CEILINGS, ids=["search", "linear", "construct", "verify", "fields"]
+    "module,name,shown,refused", CEILINGS,
+    ids=["search", "linear", "construct", "verify", "fields", "hamming"],
 )
 def test_refusals_name_their_ceiling(monkeypatch, module, name, shown, refused):
     with pytest.raises(ValueError, match=rf"^refusing .+; the ceiling is {re.escape(shown)}$"):
@@ -119,13 +121,13 @@ def test_package_wide_rules_are_written_once(pattern, owner):
 
 
 def test_trusted_word_sets_are_made_in_known_places():
-    # hamming.trust_words freezes words without checking them.  Each call derives its words
+    # hamming.trust_ids freezes ids without checking them.  Each call derives its ids
     # from checked sets by a map that sends words to words, so a new call site must be
     # argued for, and this count changed with it.
     calls = {
-        path.stem: len(re.findall(r"(?<!def )\btrust_words\(", path.read_text()))
+        path.stem: len(re.findall(r"(?<!def )\btrust_ids\(", path.read_text()))
         for path in SRC.glob("*.py")
     }
     assert {module: count for module, count in calls.items() if count} == {
-        "hamming": 1, "linear": 2, "construct": 8, "search": 1,
+        "hamming": 1, "linear": 2, "construct": 7, "search": 1,
     }

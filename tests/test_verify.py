@@ -241,7 +241,8 @@ def test_count_paths_agree_on_a_pair_failing_almost_everywhere():
     assert report.failure_count > 10**5
 
 
-def test_check_bitrade_builds_the_signed_function_only_for_the_checks_that_take_it(monkeypatch):
+def test_check_bitrade_builds_no_signed_function(monkeypatch):
+    # the eigen and face checks read the parts' ids; a SignedFunction would check them again
     built = []
 
     class Counted(SignedFunction):
@@ -250,16 +251,15 @@ def test_check_bitrade_builds_the_signed_function_only_for_the_checks_that_take_
             super().__post_init__()
 
     b = mds_bitrade(4, "swap")
-    expected = check_bitrade(b)
+    f = SignedFunction(b.params, {**dict.fromkeys(b.t0, 1), **dict.fromkeys(b.t1, -1)})
+    expected = {
+        **check_bitrade(b, ["definition", "dist2"]),
+        "eigen": verify.eigen_check(f, 0),
+        "delsarte": verify.delsarte_face_check(f, verify.delsarte_order(b.params, 0)),
+    }
     monkeypatch.setattr(verify, "SignedFunction", Counted)
-    assert check_bitrade(b, ["definition", "dist2"]) == {
-        name: expected[name] for name in ("definition", "dist2")
-    }
+    assert check_bitrade(b) == {name: expected[name] for name in CHECKS}
     assert built == []
-    assert check_bitrade(b, ["eigen", "delsarte"]) == {
-        name: expected[name] for name in ("eigen", "delsarte")
-    }
-    assert len(built) == 1
 
 
 def test_checks_match_whole_set_references_on_random_pairs():
@@ -490,7 +490,18 @@ def test_signed_function_validation():
     with pytest.raises(ValueError):
         SignedFunction(params, {(0, 3, 0): 1})
     f = SignedFunction(params, {(0, 1, 2): 1, (0, 2, 1): -1})
-    assert f.parts() == ([(0, 1, 2)], [(0, 2, 1)])
+    assert f.parts() == ({(0, 1, 2)}, {(0, 2, 1)})
+
+
+@pytest.mark.parametrize("q,r", [(4, 2), (3, 4), (6, 1)])
+def test_lifted_tensor_powers_pass_every_check(q, r):
+    # the paper's constructive half beyond r = 1: a perfect bitrade of volume (q!)^r in
+    # H(qr + 1, q), certified on the parts' ids
+    b = lift_to_perfect(tensor_power(alt_bitrade(q), r))
+    assert (b.params, b.kind, b.volume) == (HammingParams(q * r + 1, q), PERFECT, math.factorial(q) ** r)
+    reports = check_bitrade(b)
+    assert list(reports) == list(CHECKS)
+    assert [name for name, report in reports.items() if not report.passed] == []
 
 
 def test_empty_pair_passes_every_check():
