@@ -107,10 +107,10 @@ class HammingParams:
         merge a bool word into its int twin; ValueError names the first bad word.  A set
         already checked for this graph is returned as it is.  Any other input, a set checked
         for another graph included, is read once, and valid words cost two passes over their
-        symbols and one encoding by whole columns (``encode_all``)."""
+        symbols and one encoding by whole columns (``encode_all``); above ID_CEILING vertices
+        they are refused (``id_array``)."""
         if isinstance(words, CheckedWords) and words.params == self:
             return words
-        check_ceiling(self.vertex_count, ID_CEILING, f"word sets of H({self.n}, {self.q})")
         symbols = itertools.chain.from_iterable
         if not isinstance(words, Collection):
             words = list(words)  # the passes below would each consume an iterator
@@ -163,6 +163,12 @@ class HammingParams:
                 low = zero | low << w
         return steps
 
+    def id_array(self, ids: Iterable[int]) -> array:
+        """The ids as an ``array('q')``, kept if already one.  Graphs above ID_CEILING
+        vertices are refused: their ids need more than 63 bits."""
+        check_ceiling(self.vertex_count, ID_CEILING, f"word sets of H({self.n}, {self.q})")
+        return ids if isinstance(ids, array) else array("q", ids)
+
     def bitmask(self, ids: Iterable[int]) -> int:
         """The ids as one int, bit x set for id x."""
         bits = bytearray(-(-self.vertex_count // 8))
@@ -188,10 +194,10 @@ class HammingParams:
     def _decoder(self) -> tuple[tuple[int, int, tuple[Word, ...]], ...]:
         """Per block of consecutive positions, first to last: its place value, its count
         q^c of symbol strings, and those strings in id order, so string j is the j-th.
-        Blocks are as even as tables of at most _DECODE_TABLE strings allow, and there are
-        two at least, so a small graph's tables stay small."""
+        There are as few blocks as tables of at most _DECODE_TABLE strings allow, but two at
+        least, and their sizes differ by one at most, so each table is as small as it can be."""
         n, q = self.n, self.q
-        width = 1  # positions per table
+        width = 1  # the most positions one table can take
         while width < n and q ** (width + 1) <= _DECODE_TABLE:
             width += 1
         count = max(min(2, n), -(-n // width))
@@ -315,8 +321,8 @@ class CheckedWords(Set):
     def isdisjoint(self, other: Iterable[Word]) -> bool:
         if not (isinstance(other, CheckedWords) and other.params == self.params):
             return super().isdisjoint(other)
-        # both id arrays are sorted, so each block of ours meets one slice of theirs; holding
-        # one block as a set, not all ids, keeps a large build's memory from fragmenting
+        # both id arrays are sorted, so each block of ours meets one slice of theirs; a set of
+        # one block, not of all ids, keeps the peak memory of a large build down
         ids, theirs = self.ids, other.ids
         for start in range(0, len(ids), _DISJOINT_BLOCK):
             block = ids[start : start + _DISJOINT_BLOCK]
@@ -339,15 +345,15 @@ class CheckedWords(Set):
 
 
 def trust_ids(params: HammingParams, ids: Iterable[int]) -> CheckedWords:
-    """Sorted distinct ids frozen as a checked set of params, without a pass; an array is
-    kept, not copied.  Only for ids derived from checked sets by a map that sends words of
-    H(n, q) to words of H(n, q)."""
-    return CheckedWords(params, ids if isinstance(ids, array) else array("q", ids))
+    """Sorted distinct ids frozen as a checked set of params, without a pass (``id_array``).
+    Only for ids derived from checked sets by a map that sends words of H(n, q) to words
+    of H(n, q)."""
+    return CheckedWords(params, params.id_array(ids))
 
 
 def _checked_ids(params: HammingParams, ids: Iterable[int]) -> CheckedWords:
     """A pickled ``CheckedWords``: its ids must be increasing vertex ids of params."""
-    ids = array("q", ids)
+    ids = params.id_array(ids)
     if ids and not (
         0 <= ids[0] and ids[-1] < params.vertex_count and all(map(lt, ids, ids[1:]))
     ):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Iterable, Iterator
 from itertools import chain, combinations, islice
 from operator import getitem, lt
@@ -26,7 +25,8 @@ class ParityCheckCode:
     order and solves for the pivot coordinates; pivots are chosen as far to
     the right as possible, so each emitted word is usually a free prefix
     plus a solved suffix, and the ids come out in order.  Entries are
-    validated once, here: each row is a word of H(n, q).  The row
+    validated once, here: each row is a word of H(n, q), tested by ``contains``, since a
+    code of a graph too large for ids (``hamming.ID_CEILING``) is still read.  The row
     reduction uses the field's operations and the enumeration reads its
     tables directly, so every id it makes is a word's: ``to_code`` and
     ``coset`` freeze theirs with ``hamming.trust_ids``, without a check.
@@ -39,7 +39,9 @@ class ParityCheckCode:
         self.n = n
         self.params = HammingParams(n, field.q)
         self.checks = tuple(map(tuple, checks))
-        self.params.check_words(self.checks)
+        for row in self.checks:
+            if not self.params.contains(row):
+                self.params.check_words((row,))  # refuses the row, naming it
         self._reduce()
 
     def _reduce(self) -> None:
@@ -140,7 +142,7 @@ class ParityCheckCode:
         return self.params.decode_all(self.ids())
 
     def to_code(self) -> Code:
-        ids = array("q", self.ids())
+        ids = self.params.id_array(self.ids())
         if not all(map(lt, ids, islice(ids, 1, None))):  # pivots left of a free coordinate
             ids = sorted(ids)
         return Code(self.params, trust_ids(self.params, ids))

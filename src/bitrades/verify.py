@@ -92,26 +92,23 @@ def _report(
 
 def _compare(first: Iterable[int], second: Iterable[int], cap=None, visited=frozenset()):
     """Count two iterables of ids; return how many ids were counted or are in ``visited``,
-    and (id, first count, second count) wherever the counts differ or the first is above cap."""
+    and (id, first count, second count) wherever the counts differ or the first is above cap.
+    Without a cap or visited ids, sides that repeat no id are compared by their id sets,
+    every count being 0 or 1; Counters are built only when a side repeats one."""
+    if cap is None and not visited:
+        first, second = list(first), list(second)
+        keys0, keys1 = set(first), set(second)
+        if len(keys0) == len(first) and len(keys1) == len(second):
+            if keys0 == keys1:
+                return len(keys0), []
+            only0, only1 = keys0 - keys1, keys1 - keys0
+            return len(keys0) + len(only1), [(x, 1, 0) for x in only0] + [(x, 0, 1) for x in only1]
     counts0, counts1 = Counter(first), Counter(second)
     if dict.__eq__(counts0, counts1) and (cap is None or max(counts0.values(), default=0) <= cap):
         return len(counts0) + len(visited - counts0.keys()), []
     keys = counts0.keys() | counts1.keys() | visited
     pairs = ((x, counts0[x], counts1[x]) for x in keys)
     return len(keys), [(x, a, b) for x, a, b in pairs if a != b or cap is not None and a > cap]
-
-
-def _compare_keys(first: Iterable[int], second: Iterable[int]):
-    """``_compare`` without a cap or visited ids, by key sets: where neither side repeats a
-    key every count is 0 or 1, so only a side that repeats one is counted."""
-    first, second = list(first), list(second)
-    keys0, keys1 = set(first), set(second)
-    if len(keys0) < len(first) or len(keys1) < len(second):
-        return _compare(first, second)
-    if keys0 == keys1:
-        return len(keys0), []
-    diffs = [(x, 1, 0) for x in keys0 - keys1] + [(x, 0, 1) for x in keys1 - keys0]
-    return len(keys0 | keys1), diffs
 
 
 def _count(params: HammingParams, t0, t1, theta: int, capped=False, visit=False):
@@ -375,7 +372,7 @@ def _faces(params: HammingParams, t0: CheckedWords, t1: CheckedWords, m: int) ->
     failures: list[tuple] = []
     faces_with_support = 0
     for free, keys in projections(parts, n - k):
-        counted, diffs = _compare_keys(*keys)
+        counted, diffs = _compare(*keys)
         faces_with_support += counted
         positions = [i for i in range(n) if i not in free]
         for key, a, b in diffs:

@@ -208,6 +208,25 @@ def test_enumeration_ceiling():
         next(c.words())
 
 
+def test_codes_of_graphs_too_large_for_ids_are_still_read():
+    # only holding a code's words as ids is refused above hamming.ID_CEILING vertices
+    rs16 = rs_mds_code(build_field(16))
+    assert verify_mds(rs16)
+    assert (0,) * 16 in rs16
+    assert (1,) + (0,) * 15 not in rs16
+    assert (rs16.rank, rs16.size()) == (2, 16**14)
+    wide = sum_zero_code(build_field(2), 64)
+    assert verify_mds(wide) and (1, 1) + (0,) * 62 in wide
+    with pytest.raises(ValueError, match=r"^\(1, 1\) is not a word of H\(64, 2\)$"):
+        ParityCheckCode(build_field(2), 64, [(1, 1)])
+    # 50 unit checks leave 2**14 words: they can be listed, but not frozen as ids
+    narrow = ParityCheckCode(build_field(2), 64, [(0,) * i + (1,) + (0,) * (63 - i) for i in range(50)])
+    assert next(narrow.words()) == (0,) * 64
+    assert sum(1 for _ in narrow.words()) == 2**14
+    with pytest.raises(ValueError, match=r"^refusing word sets of H\(64, 2\); the ceiling is 2\*\*63$"):
+        narrow.to_code()
+
+
 def test_enumeration_equals_a_brute_force_sweep():
     f3, f4 = build_field(3), build_field(4)
     codes = [
