@@ -230,10 +230,11 @@ class HammingParams:
         batches = iter(lambda: list(itertools.islice(stream, 4096)), [])
         return itertools.chain.from_iterable(map(words, batches))
 
-    def sphere(self, word: Word) -> Iterator[int]:
-        """Ids at distance 1, by increasing changed position, then symbol."""
-        steps = itertools.chain.from_iterable(map(getitem, self._steps, word))
-        return map(self.encode(word).__add__, steps)
+    def sphere(self, v: int) -> Iterator[int]:
+        """The ids at distance 1 from id v, by increasing changed position, then symbol.
+        v's digits are read off v, so no word is decoded."""
+        digits = map(mod, map(floordiv, itertools.repeat(v), self.weights), itertools.repeat(self.q))
+        return map(v.__add__, itertools.chain.from_iterable(map(getitem, self._steps, digits)))
 
     def blocks(self, part: CheckedWords) -> Iterator[tuple[Sequence[int], Iterator[int]]]:
         """Per first symbol v, the ids of the part's words starting with v and their sphere

@@ -51,11 +51,15 @@ The walk keeps one state code per covered vertex, a + k*b for a vertex
 covered a times by part 0 and b times by part 1, in a dict as sparse as the
 parts.  Two tables indexed by code, built once per walk, say whether the
 vertex is violated and what each of the six moves would change there,
-packed into one int (``_LocalState``).  A second dict, as sparse, keeps each
-covered vertex's packed entry, written in the pass that changes its code.
-So a word's two moves are scored by one sum over its neighbourhood, one
-lookup per vertex, and the walk picks among the least-scored open moves in
-one pass over the scored list (``_least_open``).
+packed into one int (``_LocalState``).  A second dict keeps each covered
+vertex's packed entry, written in the pass that changes its code, and
+answers code 0's entry for any other vertex.  So a word's two moves are
+scored by one sum over its neighbourhood: one lookup per vertex, or, when
+the neighbourhood is read again on a graph whose neighbourhoods all stay
+cached, one C-level call of an ``itemgetter`` made for it.  The walk picks
+among the least-scored open moves in one pass over the scored list
+(``_least_open``); the moves its tabu list bars are counted as the list
+changes, not gathered afresh each move.
 """
 
 from __future__ import annotations
@@ -64,12 +68,12 @@ import math
 import random
 import sys
 import time
-from collections import deque
-from collections.abc import Callable, Iterator
+from collections import defaultdict, deque
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, fields
 from functools import cache, reduce
 from itertools import repeat
-from operator import or_
+from operator import itemgetter, or_
 
 from .construct import EIGENVALUE, PERFECT, SPHERICAL, Bitrade, bitrade_kind
 from .hamming import HammingParams, Word, bit_planes, check_ceiling, is_int, moves, trust_ids
@@ -81,8 +85,9 @@ EXHAUSTIVE_CEILING = 3**10
 LOCAL_TIME_BUDGET = 60.0
 TABU_LENGTH = 50
 STAGNATION_LIMIT = 200
-# The walk forgets its cached neighbourhoods above this many words (the
-# largest graph the benchmark walks has 5**5 = 3125 vertices).
+# The walk forgets its cached neighbourhoods above this many words, and reads
+# them through getters only on graphs of at most this many vertices (the
+# largest graph the benchmark walks has 5**5 = 3125).
 IDS_CACHE_LIMIT = 2**12
 
 MODES = ("exhaustive", "local")
@@ -468,23 +473,33 @@ class _LocalState:
     symmetric in the sides), and ``gain`` packs what each of the six moves
     would change there, plus one, into fields ``width`` bits wide, in the
     order add to 0, add to 1, remove from 0, move 0 to 1, remove from 1,
-    move 1 to 0.  ``score`` has the keys of ``code`` and holds
-    ``gain[code[y]]`` for each, so an uncovered vertex scores ``gain[0]``.
-    Summing ``score`` over a word's neighbourhood then scores that word's
-    two moves at once: no field can carry into the next, since each sums at
-    most 2 * size.
+    move 1 to 0.  ``score`` holds ``gain[code[y]]`` for each key of
+    ``code``; any other vertex is uncovered and scores ``gain[0]``, which
+    ``score`` answers for a missing key and keeps.  Summing ``score`` over a
+    word's neighbourhood then scores that word's two moves at once: no field
+    can carry into the next, since each sums at most 2 * size.
+
+    ``_ids`` caches each word's region (its neighbourhood), and is cleared
+    when it reaches IDS_CACHE_LIMIT words.  On a graph of at most that many
+    vertices it is never cleared, and ``_reads`` keeps an ``itemgetter`` of
+    each region read again, which returns a tuple since a region has two
+    vertices at least wherever a bitrade can exist.  A larger graph makes
+    none: its walks seldom reread a region before the cache is cleared, and
+    the entries a getter adds to ``score`` would slow every lookup.
     """
 
     __slots__ = (
-        "params", "own", "_ids", "code", "score", "k", "step", "bad", "gain", "width", "parts",
-        "violated",
+        "params", "own", "_ids", "_reads", "_reread", "code", "score", "k", "step", "bad", "gain",
+        "width", "parts", "violated",
     )
 
     def __init__(self, params: HammingParams, kind: str) -> None:
         self.params = params
         self.own = -EIGENVALUE[kind]
         self._ids: dict[int, tuple[int, ...]] = {}
-        size = len(self.ids(0))
+        self._reads: dict[int, itemgetter] = {}
+        self._reread = params.vertex_count <= IDS_CACHE_LIMIT
+        size = self.own + params.degree
         k = self.k = size + 2
         # what a word on each side (None: neither part) adds to the codes of its neighbourhood
         self.step: dict[int | None, int] = {None: 0, 0: 1, 1: k}
@@ -506,7 +521,7 @@ class _LocalState:
                 self.bad.append(was)
                 self.gain.append(sum(1 + now - was << i * width for i, now in enumerate(after)))
         self.code: dict[int, int] = {}
-        self.score: dict[int, int] = {}
+        self.score: defaultdict[int, int] = defaultdict(repeat(self.gain[0]).__next__)
         self.parts: tuple[set[int], set[int]] = (set(), set())
         self.violated: set[int] = set()
 
@@ -517,7 +532,7 @@ class _LocalState:
             if len(self._ids) >= IDS_CACHE_LIMIT:
                 self._ids.clear()
             # x's region: its sphere plus -θ copies of x
-            got = tuple(sorted([x] * self.own + [*self.params.sphere(self.params.decode(x))]))
+            got = tuple(sorted([x] * self.own + [*self.params.sphere(x)]))
             self._ids[x] = got
         return got
 
@@ -563,19 +578,25 @@ class _LocalState:
         word (pinned words stay put; they anchor the walk away from the
         empty state).  One sum of ``score`` over the word's neighbourhood
         scores both; each vertex adds one to every field, hence the offset.
+        A region is summed by ``score.get``, which adds no entry to
+        ``score``, until a reread on a small graph gives it a getter.
         """
-        score_of = self.score.get
+        score = self.score
+        score_of = score.get
         uncovered = self.gain[0]
         width = self.width
         mask = (1 << width) - 1
         part0, part1 = self.parts
         ids = self.ids
+        regions = self._ids
+        reads = self._reads
+        reread = self._reread
         words = ids(x)
         # every region has len(words) vertices
         offset = len(self.violated) - len(words)
         scored: list[tuple[int, _Move]] = []
         append = scored.append
-        for w, hood in zip(words, map(self._ids.get, words)):
+        for w, read in zip(words, map(reads.get, words)):
             if w in part0:
                 if w in pinned:
                     continue
@@ -592,14 +613,20 @@ class _LocalState:
                 shift = 0
                 first = (w, None, 0)
                 second = (w, None, 1)
-            packed = sum(map(score_of, hood or ids(w), repeat(uncovered))) >> shift
+            if read is not None:
+                packed = sum(read(score)) >> shift
+            elif reread and w in regions:
+                read = reads[w] = itemgetter(*regions[w])
+                packed = sum(read(score)) >> shift
+            else:
+                packed = sum(map(score_of, ids(w), repeat(uncovered))) >> shift
             append((offset + (packed & mask), first))
             append((offset + (packed >> width & mask), second))
         return scored
 
 
 def _least_open(
-    scored: list[tuple[int, _Move]], barred: set[_Move], restart_best: int
+    scored: list[tuple[int, _Move]], barred: Collection[_Move], restart_best: int
 ) -> list[_Move]:
     """The moves of least score among the open ones, in order.
 
@@ -628,7 +655,8 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
     deadline = time.monotonic() + budget
 
     state = _LocalState(params, kind)
-    tabu: deque[_Move] = deque(maxlen=TABU_LENGTH)
+    tabu: deque[_Move] = deque()
+    barred: dict[_Move, int] = {}  # how often each move is in tabu, none held at zero
     pinned: set[int] = set()
     best_ids: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     moves = 0
@@ -639,6 +667,7 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
         nonlocal stagnation, restart_best
         state.clear()
         tabu.clear()
+        barred.clear()
         pinned.clear()
         stagnation = 0
         if start is not None:
@@ -673,9 +702,17 @@ def _local(config: SearchConfig, kind: str) -> SearchResult:
             continue
         x = rng.choice(sorted(state.violated))
         scored = state.scored_moves(x, pinned)
-        w, src, dst = rng.choice(_least_open(scored, set(tabu), restart_best))
+        w, src, dst = rng.choice(_least_open(scored, barred, restart_best))
         state.move(w, src, dst)
-        tabu.append((w, dst, src))
+        undo = (w, dst, src)
+        if len(tabu) == TABU_LENGTH:
+            old = tabu.popleft()
+            if barred[old] == 1:
+                del barred[old]
+            else:
+                barred[old] -= 1
+        tabu.append(undo)
+        barred[undo] = barred.get(undo, 0) + 1
         moves += 1
         if len(state.violated) < restart_best:
             restart_best = len(state.violated)

@@ -1,5 +1,6 @@
 """Minimum-volume searches: exhaustive branch and bound, local walk."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -431,6 +432,15 @@ def test_seeded_walks_match_recorded_digest(monkeypatch):
     assert hashlib.sha256(repr(records).encode()).hexdigest() == PINNED_WALKS_SHA256
 
 
+# These graphs have at most 3125 vertices, so their walks never fill the
+# neighbourhood cache and read reread regions through getters.  Kept to 16
+# words, the cache is reset many times a walk and the walks make no getter,
+# as on a large graph, and every walk must still end as recorded.
+def test_seeded_walks_match_recorded_digest_through_cache_resets(monkeypatch):
+    monkeypatch.setattr(search_module, "IDS_CACHE_LIMIT", 16)
+    test_seeded_walks_match_recorded_digest(monkeypatch)
+
+
 # The walk's move scores against a recount written here: neighbourhoods
 # from words, ids with the first coordinate most significant, and the
 # violated vertices counted afresh from the parts around each move.
@@ -473,9 +483,10 @@ def _counts(state):
 
 
 def _scores_kept(state):
-    """Whether each covered vertex's score is the gain of its code, and no
-    other vertex has one."""
-    return state.score == {y: state.gain[c] for y, c in state.code.items()}
+    """Whether every covered vertex scores the gain of its code, and every
+    other entry holds gain[0], what an uncovered vertex scores."""
+    kept = state.score.keys() | state.code.keys()
+    return state.score == {y: state.gain[state.code.get(y, 0)] for y in kept}
 
 
 def _violated_near(parts, hood, near):
@@ -530,6 +541,8 @@ def test_move_scores_equal_a_recount(kind, n, q):
     for seed in range(3):
         rng = random.Random(1000 * n + 10 * q + seed)
         state = search_module._LocalState(HammingParams(n, q), kind)
+        # getters on every graph here but H(30, 3)
+        assert state._reread == (q**n <= search_module.IDS_CACHE_LIMIT)
         centres = [rng.randrange(q**n) for _ in range(3)]
         # random moves near a few centres, so counts pile above 1
         for _ in range(40):
@@ -553,7 +566,21 @@ def test_move_scores_equal_a_recount(kind, n, q):
         xs += [rng.randrange(q**n) for _ in range(4)]
         for x in xs:
             expected = _recounted_moves(parts, x, pinned, hood, violated)
+            cached = set(state._ids) | {x}
             assert state.scored_moves(x, pinned) == expected
+            # a region read for the first time gets no getter, a cached one does, and a
+            # pinned word's region is not read; a graph too large for the cache to keep
+            # every region makes no getter
+            read = set(hood(x)) - pinned
+            getters = state._reads.keys() & read
+            # the second call reads every region through its getter
+            assert state.scored_moves(x, pinned) == expected
+            if state._reread:
+                assert getters == cached & read
+                assert state._reads.keys() >= read
+            else:
+                assert not state._reads
+            assert _scores_kept(state)
             seen_pinned |= any(w in pinned for w in hood(x))
         # scoring leaves the state as it was
         assert parts == state.parts
@@ -630,6 +657,10 @@ def test_walk_neighbourhood_cache_is_bounded(monkeypatch):
 def test_tabu_key_undoes_its_move(kind, n, q):
     params = HammingParams(n, q)
 
+    @functools.cache
+    def hood(i):
+        return _hood(i, n, q, kind == PERFECT)
+
     def snapshot(state):
         return _counts(state), tuple(set(p) for p in state.parts), set(state.violated)
 
@@ -648,8 +679,14 @@ def test_tabu_key_undoes_its_move(kind, n, q):
         before = snapshot(state)
         xs = rng.sample(sorted(state.violated), min(12, len(state.violated)))
         xs += [rng.randrange(q**n) for _ in range(4)]
+        parts = tuple(set(p) for p in state.parts)
+        violated = _violated(parts, hood)
         for x in xs:
-            for _, (w, src, dst) in state.scored_moves(x, set()):
+            scored = state.scored_moves(x, set())
+            # the first call may read regions by lookup, the second through their getters
+            assert scored == state.scored_moves(x, set())
+            assert scored == _recounted_moves(parts, x, set(), hood, violated)
+            for _, (w, src, dst) in scored:
                 state.move(w, src, dst)
                 assert _scores_kept(state)
                 after = snapshot(state)
