@@ -17,7 +17,7 @@ The neighbourhood kernel works on vertex bitmasks, one int per vertex set:
 (``HammingParams.step_masks``), and ``bit_planes`` counts, bit-sliced, how
 many of the moved sets hold each vertex.  The exhaustive search builds its
 neighbourhoods and covering degrees with it, and the definition and eigen
-checks their counts.
+checks their counts, a block of vertices at a time.
 """
 
 from __future__ import annotations
@@ -169,13 +169,6 @@ class HammingParams:
         check_ceiling(self.vertex_count, ID_CEILING, f"word sets of H({self.n}, {self.q})")
         return ids if isinstance(ids, array) else array("q", ids)
 
-    def bitmask(self, ids: Iterable[int]) -> int:
-        """The ids as one int, bit x set for id x."""
-        bits = bytearray(-(-self.vertex_count // 8))
-        for x in ids:
-            bits[x >> 3] |= 1 << (x & 7)
-        return int.from_bytes(bits, "little")
-
     def encode(self, word: Word) -> int:
         return sum(map(mul, word, self.weights))
 
@@ -235,31 +228,6 @@ class HammingParams:
         v's digits are read off v, so no word is decoded."""
         digits = map(mod, map(floordiv, itertools.repeat(v), self.weights), itertools.repeat(self.q))
         return map(v.__add__, itertools.chain.from_iterable(map(getitem, self._steps, digits)))
-
-    def blocks(self, part: CheckedWords) -> Iterator[tuple[Sequence[int], Iterator[int]]]:
-        """Per first symbol v, the ids of the part's words starting with v and their sphere
-        hits there.
-
-        Block v's hits are the ids y with y[0] = v.  A word with first
-        symbol a puts its changes at positions 1..n-1 in block a, and one
-        id in each other block v: its own plus (v - a) * q^(n-1).  So every
-        hit is listed once, in its own block, and the blocks together list
-        what ``sphere`` lists word by word.  A ball is the word plus its
-        sphere: a block's own ids and its hits.  The ids are sorted, so a
-        block is one slice of them.
-        """
-        q, lead = self.q, self.weights[0]
-        # position 0 moves a word to another block, so it adds nothing here
-        inner = (((),) * q,) + self._steps[1:]
-        cuts = [bisect_left(part.ids, v * lead) for v in range(q + 1)]
-        ids = [part.ids[cuts[v] : cuts[v + 1]] for v in range(q)]
-        for v in range(q):
-            near = (
-                map(x.__add__, itertools.chain.from_iterable(map(getitem, inner, w)))
-                for x, w in zip(ids[v], self.decode_all(ids[v]))
-            )
-            far = (map(((v - a) * lead).__add__, ids[a]) for a in range(q) if a != v)
-            yield ids[v], itertools.chain.from_iterable(itertools.chain(near, far))
 
     def digits(self, ids: Sequence[int]) -> tuple[Sequence[int], list[list[int]]]:
         """The ids, and per position i the column of their digits s * q^(n-1-i).
@@ -380,6 +348,15 @@ class Code:
 
 # ---------------------------------------------------------------------------
 # vertex bitmasks
+
+
+def bitmask(ids: Iterable[int], size: int, base: int = 0) -> int:
+    """The ids, each in base..base + size - 1, as one int of size bits, bit x - base set for id x."""
+    bits = bytearray(-(-size // 8))
+    for x in ids:
+        x -= base
+        bits[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(bits, "little")
 
 
 def moves(xs: int, steps: list[tuple[int, int, int, int]]) -> Iterator[int]:

@@ -3,8 +3,9 @@
 Every check returns a VerificationReport rather than a bare bool, so a
 failure always carries witnesses.  The definition check is the eigen
 count at the kind's eigenvalue (``construct.EIGENVALUE``) plus the cap
-of at most one hit per part; the distance-profile and face-sum checks
-test equivalent or necessary characterisations.  The independent
+of at most one hit per part, and one count, ``_count``, serves both at
+every size, a block of vertices at a time; the distance-profile and
+face-sum checks test equivalent or necessary characterisations.  The independent
 cross-checks are the references in ``tests/helpers.py`` and the
 benchmark's numpy checker.
 """
@@ -13,12 +14,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, repeat
-from operator import add, or_, xor
+from operator import add, floordiv, or_, xor
 
 from .construct import EIGENVALUE, PERFECT, SPHERICAL, Bitrade, check_kind, check_parts
 from .hamming import (
@@ -27,6 +29,7 @@ from .hamming import (
     HammingParams,
     Word,
     bit_planes,
+    bitmask,
     check_ceiling,
     code_distance,
     is_int,
@@ -41,9 +44,9 @@ WITNESS_LIMIT = 10
 # mds_bitrade(8, "coset") needs 28 * 2**19.
 FACE_WORK_CEILING = 2**25
 
-# The definition and eigen checks count on vertex bitmasks up to this many vertices and per
-# block above it, where the step masks alone would take 2 n(q-1) q^n bits.
-BITMASK_VERTICES = 2**20
+# The definition and eigen checks count the vertices in blocks of at most this many, since
+# the step masks of a block take 2 n(q-1) bits per vertex.
+BLOCK_VERTICES = 2**20
 
 # the checks check_bitrade runs, in the order it runs them
 CHECKS = ("definition", "eigen", "dist2", "delsarte")
@@ -90,25 +93,22 @@ def _report(
     )
 
 
-def _compare(first: Iterable[int], second: Iterable[int], cap=None, visited=frozenset()):
-    """Count two iterables of ids; return how many ids were counted or are in ``visited``,
-    and (id, first count, second count) wherever the counts differ or the first is above cap.
-    Without a cap or visited ids, sides that repeat no id are compared by their id sets,
-    every count being 0 or 1; Counters are built only when a side repeats one."""
-    if cap is None and not visited:
-        first, second = list(first), list(second)
-        keys0, keys1 = set(first), set(second)
-        if len(keys0) == len(first) and len(keys1) == len(second):
-            if keys0 == keys1:
-                return len(keys0), []
-            only0, only1 = keys0 - keys1, keys1 - keys0
-            return len(keys0) + len(only1), [(x, 1, 0) for x in only0] + [(x, 0, 1) for x in only1]
+def _compare(first: Iterable[int], second: Iterable[int]):
+    """Count two iterables of ids; return how many ids were counted, and (id, first count,
+    second count) wherever the counts differ.  Sides that repeat no id are compared by their
+    id sets, every count being 0 or 1; Counters are built only when a side repeats one."""
+    first, second = list(first), list(second)
+    keys0, keys1 = set(first), set(second)
+    if len(keys0) == len(first) and len(keys1) == len(second):
+        if keys0 == keys1:
+            return len(keys0), []
+        only0, only1 = keys0 - keys1, keys1 - keys0
+        return len(keys0) + len(only1), [(x, 1, 0) for x in only0] + [(x, 0, 1) for x in only1]
     counts0, counts1 = Counter(first), Counter(second)
-    if dict.__eq__(counts0, counts1) and (cap is None or max(counts0.values(), default=0) <= cap):
-        return len(counts0) + len(visited - counts0.keys()), []
-    keys = counts0.keys() | counts1.keys() | visited
-    pairs = ((x, counts0[x], counts1[x]) for x in keys)
-    return len(keys), [(x, a, b) for x, a, b in pairs if a != b or cap is not None and a > cap]
+    if dict.__eq__(counts0, counts1):
+        return len(counts0), []
+    keys = counts0.keys() | counts1.keys()
+    return len(keys), [(x, counts0[x], counts1[x]) for x in keys if counts0[x] != counts1[x]]
 
 
 def _count(params: HammingParams, t0, t1, theta: int, capped=False, visit=False):
@@ -118,55 +118,56 @@ def _count(params: HammingParams, t0, t1, theta: int, capped=False, visit=False)
     A vertex fails where the two counts differ or, if ``capped``, part 0's is above 1.
     Returns the vertices checked (those counted, and the parts' words too if ``visit``),
     the failure count, and (word, value, count0, count1) at the WITNESS_LIMIT least failing
-    ids; value is 1 on t0, -1 on t1, else 0.  Up to BITMASK_VERTICES vertices each count
-    is bit planes of vertex bitmasks (``hamming.bit_planes``), above that one Counter per
-    block (``HammingParams.blocks``).
+    ids; value is 1 on t0, -1 on t1, else 0.
+
+    The vertices are cut into blocks by their k leading digits, the prefix, with the least
+    k that leaves at most BLOCK_VERTICES in a block, so small graphs are one block.  Each
+    count is bit planes (``hamming.bit_planes``) of vertex bitmasks of the block: the own
+    copies, the part's words in the block moved by the digit steps of the tail graph
+    H(n-k, q), and, unmoved, its words in each block whose prefix is one digit away.  The
+    blocks holding words and their prefix neighbours are counted in prefix order, which is
+    id order, each bitmask built on demand from a slice of the sorted ids.
     """
-    if params.vertex_count > BITMASK_VERTICES:
-        return _count_blocks(params, t0, t1, theta, capped, visit)
-    parts = params.bitmask(t0.ids), params.bitmask(t1.ids)
-    steps = params.step_masks()
+    n, q = params.n, params.q
+    k = next(k for k in range(n + 1) if q ** (n - k) <= BLOCK_VERTICES)
+    size = q ** (n - k)
+    steps = HammingParams(n - k, q).step_masks() if k < n else []
+    near = HammingParams(k, q).sphere if k else lambda p: ()
+    ids = t0.ids, t1.ids
+    occupied = set(chain.from_iterable(map(floordiv, part, repeat(size)) for part in ids))
     width = (params.degree + abs(theta)).bit_length()
-    owns = parts if theta <= 0 else parts[::-1]
-    planes0, planes1 = (
-        bit_planes(chain(repeat(own, abs(theta)), moves(part, steps)), width)
-        for part, own in zip(parts, owns)
-    )
-    failing = reduce(or_, map(xor, planes0, planes1))
-    if capped:
-        failing |= reduce(or_, planes0[1:], 0)
-    checked = reduce(or_, planes0 + planes1, parts[0] | parts[1] if visit else 0)
+
+    def block(part, p: int) -> int:
+        base = p * size
+        words = part[bisect_left(part, base) : bisect_left(part, base + size)]
+        return bitmask(words, size, base) if words else 0
 
     def at(x: int, planes: list[int]) -> int:
         return sum((plane >> x & 1) << j for j, plane in enumerate(planes))
 
+    checked = count = 0
     witnesses = []
-    rest = failing
-    while rest and len(witnesses) < WITNESS_LIMIT:
-        x = (rest & -rest).bit_length() - 1
-        rest ^= 1 << x
-        value = (parts[0] >> x & 1) - (parts[1] >> x & 1)
-        witnesses.append((params.decode(x), value, at(x, planes0), at(x, planes1)))
-    return checked.bit_count(), failing.bit_count(), witnesses
-
-
-def _count_blocks(params: HammingParams, t0, t1, theta: int, capped: bool, visit: bool):
-    """``_count`` by one Counter per block: per first symbol, compared by ``_compare``."""
-    diffs: list[tuple] = []
-    checked = 0
-    for (own0, hits0), (own1, hits1) in zip(params.blocks(t0), params.blocks(t1)):
-        sign = {**dict.fromkeys(own0, 1), **dict.fromkeys(own1, -1)}
-        if theta > 0:  # each part counts the other part's words
-            own0, own1 = own1, own0
-        counted, block = _compare(
-            chain(hits0, *[own0] * abs(theta)), chain(hits1, *[own1] * abs(theta)),
-            1 if capped else None, sign.keys() if visit else frozenset(),
+    for p in sorted(occupied.union(*map(near, occupied))):
+        parts = [block(part, p) for part in ids]
+        owns = parts if theta <= 0 else parts[::-1]
+        planes0, planes1 = (
+            bit_planes(
+                chain(repeat(own, abs(theta)), moves(mask, steps), (block(part, r) for r in near(p))),
+                width,
+            )
+            for part, mask, own in zip(ids, parts, owns)
         )
-        checked += counted
-        diffs += [(x, sign.get(x, 0), c0, c1) for x, c0, c1 in block]
-    diffs.sort()
-    witnesses = [(params.decode(x), *rest) for x, *rest in diffs[:WITNESS_LIMIT]]
-    return checked, len(diffs), witnesses
+        failing = reduce(or_, map(xor, planes0, planes1))
+        if capped:
+            failing |= reduce(or_, planes0[1:], 0)
+        checked += reduce(or_, planes0 + planes1, parts[0] | parts[1] if visit else 0).bit_count()
+        count += failing.bit_count()
+        while failing and len(witnesses) < WITNESS_LIMIT:
+            x = (failing & -failing).bit_length() - 1
+            failing ^= 1 << x
+            value = (parts[0] >> x & 1) - (parts[1] >> x & 1)
+            witnesses.append((params.decode(p * size + x), value, at(x, planes0), at(x, planes1)))
+    return checked, count, witnesses
 
 
 @dataclass(frozen=True)

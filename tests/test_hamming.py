@@ -14,6 +14,7 @@ from bitrades.hamming import (
     Code,
     HammingParams,
     bit_planes,
+    bitmask,
     code_distance,
     hamming_distance,
     min_distance,
@@ -309,27 +310,6 @@ def test_kernel_neighbourhoods_match_word_versions(case):
             assert len(set(keys)) == len(set(kept)) == len(set(zip(keys, kept)))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 7])
-def test_blocks_split_the_neighbourhood_hits_by_first_symbol(q):
-    rng = random.Random(q)
-    for n in (1, 2, 3, 4):
-        params = HammingParams(n, q)
-        index = params
-        for _ in range(10):
-            size = rng.randrange(min(params.vertex_count, 30) + 1)
-            words = rng.sample(list(all_words(params)), size)
-            blocks = [(list(own), list(hits)) for own, hits in index.blocks(params.check_words(words))]
-            assert len(blocks) == q
-            for v, (own, hits) in enumerate(blocks):
-                assert own == sorted(index.encode(w) for w in words if w[0] == v)
-                assert all(index.decode(x)[0] == v for x in hits)
-            own = [x for ids, _ in blocks for x in ids]
-            hits = [x for _, block in blocks for x in block]
-            for hood, listed in ((sphere, hits), (ball, own + hits)):
-                per_word = [index.encode(y) for w in words for y in hood(params, w)]
-                assert collections.Counter(listed) == collections.Counter(per_word)
-
-
 @pytest.mark.parametrize("n,q", [(1, 2), (3, 3), (2, 5), (4, 2), (2, 7)])
 def test_digit_steps_move_a_vertex_set_to_each_neighbour(n, q):
     # step (i, d) adds d mod q to digit i of every word; the steps' planes count the spheres
@@ -339,9 +319,9 @@ def test_digit_steps_move_a_vertex_set_to_each_neighbour(n, q):
     rng = random.Random(10 * n + q)
     for _ in range(10):
         chosen = rng.sample(words, rng.randint(0, len(words)))
-        moved = list(moves(params.bitmask(map(params.encode, chosen)), steps))
+        moved = list(moves(bitmask(map(params.encode, chosen), len(words)), steps))
         assert moved == [
-            params.bitmask(params.encode(w[:i] + ((w[i] + d) % q,) + w[i + 1:]) for w in chosen)
+            bitmask((params.encode(w[:i] + ((w[i] + d) % q,) + w[i + 1:]) for w in chosen), len(words))
             for i in range(n) for d in range(q - 1, 0, -1)
         ]
         planes = bit_planes(moved, params.degree.bit_length())

@@ -21,6 +21,7 @@ from helpers import (
     dist2_reference,
     eigen_reference,
     random_pair,
+    random_word,
     signed_function,
 )
 from bitrades import (
@@ -175,12 +176,15 @@ def test_eigen_check_reports_the_vertices_it_visits():
     assert eigen_check(SignedFunction(HammingParams(3, 3), {}), 0).details["vertices_checked"] == 0
 
 
-def on_both_paths(check, *args):
-    """check(*args) counted on vertex bitmasks and per block; the two reports must be equal."""
+def across_blocks(check, *args, sizes=None):
+    """check(*args) counted in one block; the reports counted in blocks of each of sizes
+    vertices (default: q and 1, so k = n - 1 and k = n leading digits) must be equal."""
     report = check(*args)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "BITMASK_VERTICES", 0)
-        assert check(*args) == report
+    q = getattr(args[0], "params", args[0]).q
+    for size in sizes or (q, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "BLOCK_VERTICES", size)
+            assert check(*args) == report
     return report
 
 
@@ -202,10 +206,10 @@ def test_checks_report_what_whole_set_references_report(make):
     eigenvalue = 0 if b.kind == SPHERICAL else -1
     for case in [b] + [corrupt(b, rng)[1] for _ in range(20)]:
         f = signed_function(case.params, case.t0, case.t1)
-        assert on_both_paths(
+        assert across_blocks(
             definition_check, case.params, case.kind, case.t0, case.t1
         ) == definition_reference(case.params, case.kind, case.t0, case.t1)
-        assert on_both_paths(eigen_check, f, eigenvalue) == eigen_reference(f, eigenvalue)
+        assert across_blocks(eigen_check, f, eigenvalue) == eigen_reference(f, eigenvalue)
         m = delsarte_order(case.params, eigenvalue)
         assert delsarte_face_check(f, m) == delsarte_reference(f, m)
         assert dist2_pair_check(case.params, case.kind, case.t0, case.t1) == dist2_reference(
@@ -226,18 +230,18 @@ def test_eigen_check_reports_what_the_reference_reports_at_every_eigenvalue(make
         for eigenvalue in params.eigenvalues() + off_spectrum:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                assert on_both_paths(eigen_check, f, eigenvalue) == eigen_reference(f, eigenvalue)
+                assert across_blocks(eigen_check, f, eigenvalue) == eigen_reference(f, eigenvalue)
 
 
 def test_count_paths_agree_on_a_pair_failing_almost_everywhere():
     # t1 moved to a coset off the sum-zero code: over 10**5 vertices fail, and only
-    # WITNESS_LIMIT of them are decoded on either path
+    # WITNESS_LIMIT of them are decoded, in one block or in 2,401 blocks of 7**3 vertices
     b = mds_bitrade(7, "coset")
     far = [((w[0] + 1) % 7, *w[1:]) for w in b.t0]
-    report = on_both_paths(definition_check, b.params, b.kind, b.t0, far)
+    report = across_blocks(definition_check, b.params, b.kind, b.t0, far, sizes=[7**3])
     assert report.failure_count > 10**5
     assert len(report.witnesses) == WITNESS_LIMIT
-    report = on_both_paths(eigen_check, signed_function(b.params, b.t0, far), 0)
+    report = across_blocks(eigen_check, signed_function(b.params, b.t0, far), 0, sizes=[7**3])
     assert report.failure_count > 10**5
 
 
@@ -284,11 +288,12 @@ def test_checks_match_whole_set_references_on_random_pairs():
 
 
 def test_definition_check_counts_one_block_at_a_time(monkeypatch):
-    # whole-set counters of the 705,894 sphere hits per part peaked at 143 MiB; the
-    # per-block path and the bitmask path (84 step masks of 100 KiB) each stay far below
+    # whole-set counters of the 705,894 sphere hits per part peaked at 143 MiB; counted in
+    # 343 blocks of 7**4 vertices (k = 3) or in one (84 step masks of 100 KiB), the
+    # bitmasks stay far below
     b = mds_bitrade(7, "coset")
-    for ceiling in (0, verify.BITMASK_VERTICES):
-        monkeypatch.setattr(verify, "BITMASK_VERTICES", ceiling)
+    for size in (7**4, verify.BLOCK_VERTICES):
+        monkeypatch.setattr(verify, "BLOCK_VERTICES", size)
         tracemalloc.start()
         try:
             report = definition_check(b.params, b.kind, b.t0, b.t1)
@@ -306,6 +311,46 @@ def test_full_sweep_ceiling():
     report = definition_check(params, PERFECT, frozenset(), frozenset())
     assert report.passed
     assert report.details["vertices_checked"] == 0
+
+
+def test_sparse_pairs_in_a_huge_graph_are_counted_in_their_blocks_only():
+    # H(30, 3) is counted in 3**18 blocks of 3**12 vertices; only the blocks holding words
+    # and their prefix neighbours are visited, so a few words take milliseconds
+    params = HammingParams(30, 3)
+    rng = random.Random(30)
+    slowest = 0.0
+    for size in (1, 2, 3, 3):
+        words = [random_word(params, rng)]
+        while len(words) < size:  # a neighbour of a word, changed in the prefix or the tail
+            w, i = rng.choice(words), rng.randrange(params.n)
+            w = w[:i] + ((w[i] + rng.randrange(1, 3)) % 3,) + w[i + 1:]
+            words += [w] if w not in words else []
+        cut = rng.randrange(size + 1)
+        t0, t1 = words[:cut], words[cut:]
+        f = signed_function(params, t0, t1)
+        for kind in (SPHERICAL, PERFECT):
+            started = time.perf_counter()
+            report = definition_check(params, kind, t0, t1)
+            slowest = max(slowest, time.perf_counter() - started)
+            assert report == definition_reference(params, kind, t0, t1)
+        for eigenvalue in (0, -30):
+            started = time.perf_counter()
+            report = eigen_check(f, eigenvalue)
+            slowest = max(slowest, time.perf_counter() - started)
+            assert report == eigen_reference(f, eigenvalue)
+    assert slowest < 0.5
+
+
+def test_lift_of_alt7_is_counted_in_several_blocks():
+    # H(8, 7) has 5,764,801 vertices, counted in 7 blocks of 7**7 (k = 1)
+    b = lift_to_perfect(alt_bitrade(7))
+    assert 7**7 <= verify.BLOCK_VERTICES < b.params.vertex_count
+    reports = check_bitrade(b, ["definition", "eigen"])
+    assert [report.passed for report in reports.values()] == [True, True]
+    _, bad = corrupt(b, random.Random(7))
+    report = definition_check(bad.params, bad.kind, bad.t0, bad.t1)
+    assert not report.passed
+    assert report == definition_reference(bad.params, bad.kind, bad.t0, bad.t1)
 
 
 def test_corruptions_fail_the_definition():
